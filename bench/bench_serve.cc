@@ -4,7 +4,8 @@
  *
  * Spawns an in-process Server over one EvaluationService, drives N
  * concurrent client connections through a deterministic mixed request
- * distribution (evaluate / select_drm / select_dtm / stats), and
+ * distribution (evaluate / select_drm / select_dtm / stats; see
+ * serve_mix.hh -- `--seed` picks the stream), and
  * reports throughput and latency percentiles.
  *
  * Correctness is checked, not assumed:
@@ -39,7 +40,7 @@
 #include "common.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
-#include "util/random.hh"
+#include "serve_mix.hh"
 #include "util/stats.hh"
 #include "util/telemetry.hh"
 
@@ -93,53 +94,6 @@ parseServeFlags(int &argc, char **argv)
     argc = out;
     argv[out] = nullptr;
     return opts;
-}
-
-/** One request of the mixed distribution, deterministic in (worker,
- *  sequence) so every run exercises the same stream. Select requests
- *  carry @p surrogate, so a tiered run serves the same stream
- *  through the fast path. */
-serve::Request
-mixedRequest(std::size_t worker, std::size_t seq,
-             const std::vector<workload::AppProfile> &apps,
-             drm::surrogate::SurrogateMode surrogate)
-{
-    util::Rng rng(0x62656e63685f7376ull ^ (worker * 0x9e3779b9ull) ^
-                  seq);
-    serve::Request req;
-    req.app = apps[rng.below(apps.size())].name;
-    req.space = drm::AdaptationSpace::Dvs;
-    const double roll = rng.uniform();
-    if (roll < 0.70) {
-        req.type = serve::RequestType::Evaluate;
-        req.config =
-            rng.below(drm::configSpace(req.space).size());
-    } else if (roll < 0.85) {
-        req.type = serve::RequestType::SelectDrm;
-        // Half the selections sweep the full ArchDVS space: large
-        // enough to train the surrogate, so a tiered run actually
-        // serves ranked selections instead of falling back.
-        if (rng.uniform() < 0.5)
-            req.space = drm::AdaptationSpace::ArchDvs;
-        req.surrogate = surrogate;
-    } else if (roll < 0.95) {
-        req.type = serve::RequestType::SelectDtm;
-        if (rng.uniform() < 0.5)
-            req.space = drm::AdaptationSpace::ArchDvs;
-        req.surrogate = surrogate;
-    } else {
-        req.type = serve::RequestType::Stats;
-    }
-    return req;
-}
-
-/** Signature for the expected-answer table. */
-std::string
-requestKey(const serve::Request &req)
-{
-    return util::cat(serve::requestTypeName(req.type), "/", req.app,
-                     "/", drm::adaptationSpaceName(req.space), "/",
-                     req.config);
 }
 
 struct WorkerTally
@@ -199,11 +153,11 @@ main(int argc, char **argv)
     std::map<std::string, std::string> expected;
     for (std::size_t w = 0; w < serve_opts.connections; ++w) {
         for (std::size_t s = 0; s < serve_opts.requests; ++s) {
-            serve::Request req = mixedRequest(w, s, service.apps(),
-                                              opts.surrogate);
+            serve::Request req = bench::mixedRequest(
+                opts.seed, w, s, service.apps(), opts.surrogate);
             if (req.type == serve::RequestType::Stats)
                 continue; // Stats answers are time-varying.
-            const std::string key = requestKey(req);
+            const std::string key = bench::requestKey(req);
             if (expected.count(key))
                 continue;
             util::Result<util::JsonValue> direct =
@@ -252,9 +206,9 @@ main(int argc, char **argv)
                         break;
                     }
                 }
-                serve::Request req = mixedRequest(
-                    w, s, service.apps(), opts.surrogate);
-                const std::string key = requestKey(req);
+                serve::Request req = bench::mixedRequest(
+                    opts.seed, w, s, service.apps(), opts.surrogate);
+                const std::string key = bench::requestKey(req);
                 const auto req_t0 =
                     std::chrono::steady_clock::now();
                 auto reply = client.value().call(req);

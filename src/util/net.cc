@@ -72,6 +72,19 @@ waitFor(int fd, short events,
     }
 }
 
+/** Turn off Nagle's algorithm. Every stream socket this module hands
+ *  out -- accepted or connected -- goes through here, so no endpoint
+ *  holds a small frame back until the peer ACKs the previous one,
+ *  which a delayed ACK stretches to tens of milliseconds. Cheap only
+ *  because writeFrame hands each whole frame to one send (see there). */
+void
+setNoDelay(const Socket &sock)
+{
+    const int one = 1;
+    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one,
+                 sizeof(one));
+}
+
 } // namespace
 
 void
@@ -140,7 +153,9 @@ acceptTcp(const Socket &listener, int timeout_ms)
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd < 0)
         return errnoError("accept");
-    return Socket(fd);
+    Socket sock(fd);
+    setNoDelay(sock);
+    return sock;
 }
 
 Result<Socket>
@@ -162,9 +177,7 @@ connectTcp(std::uint16_t port, int timeout_ms)
     if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0)
         return errnoError("connect");
-    const int one = 1;
-    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one,
-                 sizeof(one));
+    setNoDelay(sock);
     return sock;
 }
 
@@ -317,6 +330,9 @@ writeFrame(const Socket &sock, std::string_view payload,
     buf.push_back(static_cast<char>((len >> 8) & 0xff));
     buf.push_back(static_cast<char>(len & 0xff));
     buf.append(payload);
+    // Prefix and payload go to one send (writeAll only continues a
+    // partial write). With TCP_NODELAY set, writing the prefix on its
+    // own would put a 4-byte runt segment on the wire for every frame.
     return writeAll(sock, buf, timeout_ms);
 }
 

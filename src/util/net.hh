@@ -90,11 +90,17 @@ struct Listener
 /**
  * Accept one connection, waiting at most @p timeout_ms (< 0 waits
  * forever). Timeout when nothing arrived; IoFailure when the listener
- * broke (e.g. closed during drain).
+ * broke (e.g. closed during drain). The accepted socket has
+ * TCP_NODELAY set, like every stream socket from this module, so a
+ * reply never waits for the peer's delayed ACK of the previous one.
  */
 [[nodiscard]] Result<Socket> acceptTcp(const Socket &listener, int timeout_ms);
 
-/** Connect to 127.0.0.1:@p port within @p timeout_ms. */
+/**
+ * Connect to 127.0.0.1:@p port, with TCP_NODELAY set on the socket.
+ * The loopback connect is blocking and @p timeout_ms is not applied
+ * to it; the caller's deadline applies from the first read or write.
+ */
 [[nodiscard]] Result<Socket> connectTcp(std::uint16_t port, int timeout_ms);
 
 /**
@@ -131,7 +137,9 @@ readFrame(const Socket &sock, std::size_t max_payload,
           int timeout_ms);
 
 /** Write one length-prefixed frame. InvalidInput when @p payload
- *  exceeds @p max_payload. */
+ *  exceeds @p max_payload. Prefix and payload go out in one send
+ *  (retried only after a partial write), so a frame never leaves as
+ *  a separate 4-byte segment. */
 [[nodiscard]] Result<void> writeFrame(const Socket &sock, std::string_view payload,
                         std::size_t max_payload, int timeout_ms);
 

@@ -3,17 +3,25 @@
  * Loopback tests for the length-prefixed frame codec: partial
  * writes reassembled, oversized frames rejected before the payload
  * is read, garbage ahead of a frame detected, half-closed sockets,
- * and read deadlines.
+ * and read deadlines. Also pins the transport rule that every stream
+ * socket runs with Nagle's algorithm off, on both ends and on the
+ * accepted sockets of both daemons.
  */
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 
+#include "route/router.hh"
+#include "serve/client.hh"
+#include "serve/server.hh"
 #include "util/net.hh"
 
 namespace ramp {
@@ -274,6 +282,78 @@ TEST(Framing, WriterRefusesOversizedPayload)
                               4'096, 1'000);
     ASSERT_FALSE(written.ok());
     EXPECT_EQ(written.error().code, ErrorCode::InvalidInput);
+}
+
+int
+noDelay(const Socket &sock)
+{
+    int value = -1;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value,
+                           &len),
+              0);
+    return value;
+}
+
+TEST(Framing, BothEndsRunWithNagleOff)
+{
+    // With Nagle on, a reply written while the previous one is still
+    // unacknowledged waits for the peer's delayed ACK. Accepted
+    // sockets are the ones the daemons reply on.
+    Pair pair = loopbackPair();
+    EXPECT_EQ(noDelay(pair.client), 1);
+    EXPECT_EQ(noDelay(pair.server), 1);
+}
+
+/** Send two stats requests back to back on one connection to
+ *  @p port, then collect both replies. */
+void
+expectPipelinedStats(std::uint16_t port)
+{
+    serve::ClientOptions opts;
+    opts.port = port;
+    opts.io_timeout_ms = 5'000;
+    auto client = serve::Client::connect(opts);
+    ASSERT_TRUE(client.ok()) << client.error().str();
+    serve::Request stats;
+    stats.type = serve::RequestType::Stats;
+    std::set<std::uint64_t> sent;
+    for (int i = 0; i < 2; ++i) {
+        auto id = client.value().sendRequest(stats);
+        ASSERT_TRUE(id.ok()) << id.error().str();
+        sent.insert(id.value());
+    }
+    std::set<std::uint64_t> answered;
+    for (int i = 0; i < 2; ++i) {
+        auto reply = client.value().receiveReply();
+        ASSERT_TRUE(reply.ok()) << reply.error().str();
+        EXPECT_TRUE(reply.value().ok) << reply.value().error_message;
+        answered.insert(reply.value().id);
+    }
+    EXPECT_EQ(answered, sent);
+}
+
+TEST(Framing, DaemonsAnswerPipelinedFramesOnAcceptedSockets)
+{
+    serve::ServiceOptions service_opts;
+    service_opts.cache_path = "";
+    service_opts.threads = 1;
+    service_opts.max_apps = 1;
+    service_opts.eval_params.warmup_uops = 40'000;
+    service_opts.eval_params.measure_uops = 60'000;
+    serve::EvaluationService service(service_opts);
+
+    serve::Server server(service, serve::ServerOptions{});
+    auto started = server.start();
+    ASSERT_TRUE(started.ok()) << started.error().str();
+    route::RouterOptions router_opts;
+    router_opts.backends = {server.port()};
+    route::Router router(router_opts);
+    auto routed = router.start();
+    ASSERT_TRUE(routed.ok()) << routed.error().str();
+
+    expectPipelinedStats(server.port());
+    expectPipelinedStats(router.port());
 }
 
 } // namespace
