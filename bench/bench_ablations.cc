@@ -124,12 +124,11 @@ ablationVfSlope(bench::Suite &suite)
             sim::MachineConfig cfg = sim::baseMachine();
             cfg.frequency_ghz = f;
             cfg.voltage_v = 1.0 + slope * (f - 4.0);
-            drm::ExploredPoint pt;
-            pt.op = suite.explorer.evaluate(cfg, app);
-            pt.perf_rel = pt.op.uopsPerSecond() / base_perf;
+            core::OperatingPoint op = suite.explorer.evaluate(cfg, app);
             if (std::abs(f - 3.0) < 1e-9)
-                fit_at_3ghz = drm::operatingPointFit(qual, pt.op);
-            explored.points.push_back(std::move(pt));
+                fit_at_3ghz = drm::operatingPointFit(qual, op);
+            const double perf_rel = op.uopsPerSecond() / base_perf;
+            explored.points.emplace_back(std::move(op), perf_rel);
         }
         const auto sel = drm::selectDrm(explored, qual);
         const auto &op = explored.points[sel.index].op;

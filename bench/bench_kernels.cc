@@ -13,6 +13,7 @@
 #include "core/engine.hh"
 #include "core/mechanisms.hh"
 #include "core/qualification.hh"
+#include "drm/oracle.hh"
 #include "sim/bpred.hh"
 #include "sim/cache.hh"
 #include "sim/core.hh"
@@ -76,6 +77,56 @@ BM_SteadyFitReport(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SteadyFitReport);
+
+void
+BM_FitBasisPrice(benchmark::State &state)
+{
+    // BM_SteadyFitReport's point with its basis built once: what a
+    // selection pays per explored point.
+    core::QualificationSpec spec;
+    spec.alpha_qual.fill(0.5);
+    const core::Qualification qual(spec);
+    sim::PerStructure<double> on;
+    on.fill(1.0);
+    sim::PerStructure<double> temps;
+    temps.fill(362.0);
+    sim::PerStructure<double> act;
+    act.fill(0.3);
+    const core::FitBasis basis(on, temps, act, 1.0, 4.0);
+    for (auto _ : state) {
+        const auto rep = qual.price(basis, temps);
+        benchmark::DoNotOptimize(rep.totalFit());
+    }
+}
+BENCHMARK(BM_FitBasisPrice);
+
+void
+BM_SelectDrmArchDvs(benchmark::State &state)
+{
+    // One DRM selection over the 198-point ArchDVS space. The points
+    // are synthetic (temperature rising with f, V and the window)
+    // since only their pricing is timed.
+    drm::ExploredApp app;
+    for (const auto &cfg : drm::configSpace(drm::AdaptationSpace::ArchDvs)) {
+        core::OperatingPoint op;
+        op.config = cfg;
+        op.temps_k.fill(300.0 + 14.0 * cfg.frequency_ghz +
+                        10.0 * cfg.voltage_v + 0.05 * cfg.window_size);
+        op.activity.activity.fill(0.4);
+        op.activity.cycles = 1000;
+        op.activity.retired = 1000;
+        app.points.emplace_back(std::move(op), cfg.frequency_ghz / 4.0);
+    }
+    core::QualificationSpec spec;
+    spec.t_qual_k = 370.0;
+    spec.alpha_qual.fill(0.5);
+    const core::Qualification qual(spec);
+    for (auto _ : state) {
+        const auto sel = drm::selectDrm(app, qual);
+        benchmark::DoNotOptimize(sel.index);
+    }
+}
+BENCHMARK(BM_SelectDrmArchDvs);
 
 void
 BM_ThermalSteadyState(benchmark::State &state)

@@ -1,48 +1,12 @@
 #include "core/engine.hh"
 
-#include "util/constants.hh"
 #include "util/logging.hh"
 
 namespace ramp {
 namespace core {
 
 using sim::allStructures;
-using sim::StructureId;
 using sim::structureIndex;
-
-double
-FitReport::structureFit(StructureId s) const
-{
-    double t = 0.0;
-    for (double v : fit[structureIndex(s)])
-        t += v;
-    return t;
-}
-
-double
-FitReport::mechanismFit(Mechanism m) const
-{
-    double t = 0.0;
-    for (auto s : allStructures())
-        t += fit[structureIndex(s)][mechanismIndex(m)];
-    return t;
-}
-
-double
-FitReport::totalFit() const
-{
-    double t = 0.0;
-    for (auto m : allMechanisms())
-        t += mechanismFit(m);
-    return t;
-}
-
-double
-FitReport::mttfYears() const
-{
-    const double f = totalFit();
-    return f > 0.0 ? util::fitToMttfYears(f) : 1e30;
-}
 
 RampEngine::RampEngine(Qualification qual,
                        sim::PerStructure<double> on_fractions,
@@ -50,11 +14,7 @@ RampEngine::RampEngine(Qualification qual,
     : qual_(std::move(qual)), on_frac_(on_fractions),
       em_j_scale_(em_j_scale)
 {
-    if (em_j_scale <= 0.0)
-        util::fatal("EM current-density scale must be positive");
-    for (double f : on_frac_)
-        if (f < 0.0 || f > 1.0)
-            util::fatal("powered-on fraction must be in [0,1]");
+    checkFitInputs(on_frac_, em_j_scale);
 }
 
 void
@@ -175,10 +135,9 @@ steadyFit(const Qualification &qual,
           const sim::PerStructure<double> &activity, double voltage_v,
           double frequency_ghz, double em_j_scale)
 {
-    RampEngine engine(qual, on_fractions, em_j_scale);
-    engine.addInterval(temps_k, activity, voltage_v, frequency_ghz,
-                       1.0);
-    return engine.report();
+    return qual.price(FitBasis(on_fractions, temps_k, activity,
+                               voltage_v, frequency_ghz, em_j_scale),
+                      temps_k);
 }
 
 } // namespace core

@@ -17,6 +17,7 @@
 #include <array>
 #include <vector>
 
+#include "core/fit.hh"
 #include "core/mechanisms.hh"
 #include "core/qualification.hh"
 #include "sim/structures.hh"
@@ -24,30 +25,6 @@
 
 namespace ramp {
 namespace core {
-
-/** Per-structure, per-mechanism FIT matrix plus totals. */
-struct FitReport
-{
-    sim::PerStructure<std::array<double, num_mechanisms>> fit{};
-
-    /** Time-average temperature per structure (K). */
-    sim::PerStructure<double> avg_temp_k{};
-
-    /** Total time accounted (s of workload execution). */
-    double total_time_s = 0.0;
-
-    /** FIT of one structure summed over mechanisms. */
-    double structureFit(sim::StructureId s) const;
-
-    /** FIT of one mechanism summed over structures. */
-    double mechanismFit(Mechanism m) const;
-
-    /** Processor FIT (SOFR sum over everything). */
-    double totalFit() const;
-
-    /** Processor MTTF in years implied by totalFit(). */
-    double mttfYears() const;
-};
 
 /**
  * Accumulates interval samples for one workload run on one machine
@@ -110,6 +87,8 @@ class RampEngine
  * One-shot helper: the FIT report of a single steady operating point
  * held for one second (the common case for the oracle DRM
  * exploration, where each application is statistically stationary).
+ * Prices a FitBasis of the point under @p qual; the result is bit
+ * for bit what one one-second RampEngine interval reports.
  */
 FitReport steadyFit(const Qualification &qual,
                     const sim::PerStructure<double> &on_fractions,

@@ -64,16 +64,46 @@ Qualification::fit(StructureId s, Mechanism m,
                    const OperatingConditions &actual,
                    double on_fraction) const
 {
-    const std::size_t si = structureIndex(s);
+    return priced(structureIndex(s), m, logRelativeRate(m, actual),
+                  on_fraction);
+}
+
+double
+Qualification::priced(std::size_t si, Mechanism m, double log_rate,
+                      double on_fraction) const
+{
     const std::size_t mi = mechanismIndex(m);
-    const double log_ratio =
-        logRelativeRate(m, actual) - log_rate_qual_[si][mi];
+    const double log_ratio = log_rate - log_rate_qual_[si][mi];
     double f = alloc_[si][mi] * std::exp(log_ratio);
     // Power gating removes current and field from the gated area:
     // EM and TDDB scale with the powered-on fraction (Section 6.1).
     if (m == Mechanism::EM || m == Mechanism::TDDB)
         f *= on_fraction;
     return f;
+}
+
+FitReport
+Qualification::price(const FitBasis &basis,
+                     const sim::PerStructure<double> &temps_k) const
+{
+    FitReport r;
+    for (auto s : allStructures()) {
+        const std::size_t si = structureIndex(s);
+        for (std::size_t mi = 0; mi < FitBasis::num_rated; ++mi)
+            r.fit[si][mi] = priced(si, allMechanisms()[mi],
+                                   basis.log_rate[si][mi],
+                                   basis.on_fraction[si]);
+        OperatingConditions tc;
+        tc.temp_k = temps_k[si];
+        tc.ambient_k = spec_.ambient_k;
+        r.fit[si][mechanismIndex(Mechanism::TC)] =
+            priced(si, Mechanism::TC,
+                   logRelativeRate(Mechanism::TC, tc),
+                   basis.on_fraction[si]);
+        r.avg_temp_k[si] = temps_k[si];
+    }
+    r.total_time_s = 1.0;
+    return r;
 }
 
 } // namespace core

@@ -21,6 +21,9 @@
 
 #pragma once
 
+#include <cstddef>
+
+#include "core/fit.hh"
 #include "core/mechanisms.hh"
 #include "sim/structures.hh"
 
@@ -79,12 +82,29 @@ class Qualification
                const OperatingConditions &actual,
                double on_fraction = 1.0) const;
 
+    /**
+     * The FIT report of a steady operating point held for one second,
+     * priced from its basis: fit() of every structure and mechanism,
+     * with EM, SM and TDDB taking their log rates from @p basis and
+     * thermal cycling taking @p temps_k (the point's temperatures)
+     * against this qualification's ambient. Each entry goes through
+     * the same arithmetic as fit(), so the report is bit-identical to
+     * a one-interval RampEngine over the same inputs.
+     */
+    FitReport price(const FitBasis &basis,
+                    const sim::PerStructure<double> &temps_k) const;
+
     const QualificationSpec &spec() const { return spec_; }
 
     /** Conditions the part was qualified at (for structure s). */
     OperatingConditions qualConditions(sim::StructureId s) const;
 
   private:
+    /** alloc * e^(log_rate - log r(qual)) of structure index @p si,
+     *  scaled by @p on_fraction for EM and TDDB. */
+    double priced(std::size_t si, Mechanism m, double log_rate,
+                  double on_fraction) const;
+
     QualificationSpec spec_;
     /** log r(qual) per structure x mechanism. */
     sim::PerStructure<std::array<double, num_mechanisms>> log_rate_qual_;

@@ -33,17 +33,29 @@ oracleMetrics()
     return m;
 }
 
+/** The FIT basis of an evaluated point: its powered-on fractions,
+ *  temperatures, activity, and DVS level. */
+core::FitBasis
+fitBasis(const core::OperatingPoint &op)
+{
+    return core::FitBasis(power::poweredFractions(op.config), op.temps_k,
+                          op.activity.activity, op.config.voltage_v,
+                          op.config.frequency_ghz);
+}
+
 } // namespace
+
+ExploredPoint::ExploredPoint(core::OperatingPoint point, double perf)
+    : op(std::move(point)), perf_rel(perf), valid(true),
+      basis_(fitBasis(op))
+{
+}
 
 double
 operatingPointFit(const core::Qualification &qual,
                   const core::OperatingPoint &op)
 {
-    const auto report = core::steadyFit(
-        qual, power::poweredFractions(op.config), op.temps_k,
-        op.activity.activity, op.config.voltage_v,
-        op.config.frequency_ghz);
-    return report.totalFit();
+    return qual.price(fitBasis(op), op.temps_k).totalFit();
 }
 
 sim::PerStructure<double>
@@ -165,10 +177,9 @@ OracleExplorer::explore(const workload::AppProfile &app,
         auto result = tryEvaluate(cfgs[i], app);
         if (!result)
             throw util::RampException(result.error());
-        ExploredPoint pt;
-        pt.op = std::move(result.value());
-        pt.perf_rel = pt.op.uopsPerSecond() / base_perf;
-        out.points[i] = std::move(pt);
+        const double perf_rel =
+            result.value().uopsPerSecond() / base_perf;
+        out.points[i] = ExploredPoint(std::move(result.value()), perf_rel);
     };
     // Failed points are dropped by forEach and marked invalid here;
     // each decision is a pure function of the point, so the dropped
@@ -178,7 +189,6 @@ OracleExplorer::explore(const workload::AppProfile &app,
         for (const auto &[n, err] : report.failures) {
             const std::size_t i = index.empty() ? n : index[n];
             out.points[i] = ExploredPoint{};
-            out.points[i].valid = false;
             metrics.failed_points.add();
             util::warn(util::cat("oracle: dropped point ", i,
                                  " for ", app.name, ": ",
@@ -226,8 +236,9 @@ namespace {
  * Evaluate every point's constraint row under @p qual, then pick the
  * best-performing feasible one. When nothing is feasible, fall back
  * to the least-violating point per @p violation (lower = closer to
- * feasible). One steadyFit per point: winner values are carried from
- * the table instead of being recomputed.
+ * feasible). Each point's FIT is priced once from the basis its
+ * exploration built: winner values are carried from the table instead
+ * of being recomputed.
  *
  * Failed evaluations never participate (no constraint row can be
  * computed from a default point); with @p require_converged,
@@ -265,7 +276,7 @@ selectByConstraint(const ExploredApp &app,
             continue;
         }
         pt.perf_rel = xp.perf_rel;
-        pt.fit = operatingPointFit(qual, xp.op);
+        pt.fit = qual.price(xp.basis(), xp.op.temps_k).totalFit();
         pt.max_temp_k = xp.op.maxTemp();
         pt.valid = !require_converged || pt.converged;
         if (!pt.valid) {

@@ -12,7 +12,10 @@
  *
  * Exploration (expensive timing+thermal simulation) is decoupled from
  * selection (cheap FIT evaluation), because the same explored space
- * serves every T_qual / T_design value in a sweep.
+ * serves every T_qual / T_design value in a sweep. The split runs
+ * through FIT pricing too: exploration stores each point's
+ * qualification-independent log rates (core::FitBasis), and a
+ * selection only prices them against its qualification's constants.
  */
 
 #pragma once
@@ -33,15 +36,30 @@ namespace drm {
 /** An explored configuration for one application. */
 struct ExploredPoint
 {
+    /** A failed evaluation (singular solve, non-finite temperatures):
+     *  op is default-constructed, valid is false, and the point is
+     *  excluded from every selection. */
+    ExploredPoint() = default;
+
+    /** An evaluated point. Builds its FIT basis from @p point, so a
+     *  selection under any qualification only prices it. */
+    ExploredPoint(core::OperatingPoint point, double perf);
+
+    /** The evaluation. Not to be modified after construction: the
+     *  FIT basis was derived from it. */
     core::OperatingPoint op;
     /** Performance relative to the base machine (1.0 = parity). */
     double perf_rel = 0.0;
-    /** False when this point's evaluation failed (singular solve,
-     *  non-finite temperatures): op is default-constructed and the
-     *  point is excluded from every selection. A *non-converged*
-     *  evaluation is different -- it is valid but carries
-     *  op.converged == false. */
-    bool valid = true;
+    /** False for a failed evaluation. A *non-converged* evaluation is
+     *  different -- it is valid but carries op.converged == false. */
+    bool valid = false;
+
+    /** op's qualification-independent FIT log rates (empty when
+     *  !valid). */
+    const core::FitBasis &basis() const { return basis_; }
+
+  private:
+    core::FitBasis basis_;
 };
 
 /** The full explored space for one application. */

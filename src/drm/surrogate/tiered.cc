@@ -58,15 +58,8 @@ partialApp(const std::string &app_name,
     out.app_name = app_name;
     out.base = base;
     out.points.reserve(points.size());
-    for (const auto &p : points) {
-        if (p) {
-            out.points.push_back(*p);
-        } else {
-            ExploredPoint missing;
-            missing.valid = false;
-            out.points.push_back(missing);
-        }
-    }
+    for (const auto &p : points)
+        out.points.push_back(p ? *p : ExploredPoint{});
     return out;
 }
 
@@ -177,20 +170,20 @@ TieredExplorer::ensureEvaluated(SpaceState &state,
     if (state.points[i])
         return false;
     auto result = explorer_.tryEvaluate(state.cfgs[i], app);
-    ExploredPoint pt;
     if (result) {
-        pt.op = std::move(result.value());
-        pt.perf_rel = pt.op.uopsPerSecond() / state.base_perf_uops_s;
+        const double perf_rel =
+            result.value().uopsPerSecond() / state.base_perf_uops_s;
+        state.points[i] =
+            ExploredPoint(std::move(result.value()), perf_rel);
     } else {
         // Same contract as OracleExplorer::explore: a failed point is
         // dropped (valid = false), and the decision is a pure
         // function of the point, so the tiered and exhaustive paths
         // drop identical sets.
-        pt.valid = false;
+        state.points[i] = ExploredPoint{};
         util::warn(util::cat("surrogate: dropped point ", i, " for ",
                              app.name, ": ", result.error().str()));
     }
-    state.points[i] = std::move(pt);
     return true;
 }
 

@@ -163,7 +163,6 @@ class Server
     std::deque<Job> queue_;
 
     std::mutex done_mu_;
-    std::condition_variable done_cv_;
     bool joined_ = false;
 
     telemetry::Counter requests_ =

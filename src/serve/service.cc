@@ -1,6 +1,5 @@
 #include "serve/service.hh"
 
-// ramp-lint: guarded_by(qual_mu_): quals_
 // ramp-lint: guarded_by(aging_mu_): chips_
 // ramp-lint: guarded_by(aging_mu_): chip_seq_
 
@@ -87,19 +86,13 @@ EvaluationService::evaluatePoint(const std::string &app,
                                  apps_[idx.value()]);
 }
 
-std::shared_ptr<const core::Qualification>
-EvaluationService::qualification(double t_qual_k)
+core::Qualification
+EvaluationService::qualification(double t_qual_k) const
 {
-    std::lock_guard lock(qual_mu_);
-    auto it = quals_.find(t_qual_k);
-    if (it != quals_.end())
-        return it->second;
     core::QualificationSpec spec;
     spec.t_qual_k = t_qual_k;
     spec.alpha_qual = alpha_qual_;
-    auto qual = std::make_shared<const core::Qualification>(spec);
-    quals_.emplace(t_qual_k, qual);
-    return qual;
+    return core::Qualification(spec);
 }
 
 Result<JsonValue>
@@ -127,7 +120,7 @@ EvaluationService::encodeEvaluation(const Request &req,
     out.set("ipc", JsonValue::makeNumber(op.ipc()));
     out.set("t_qual_k", JsonValue::makeNumber(req.t_qual_k));
     out.set("fit", JsonValue::makeNumber(
-                       drm::operatingPointFit(*qual, op)));
+                       drm::operatingPointFit(qual, op)));
     out.set("max_temp_k", JsonValue::makeNumber(op.maxTemp()));
     out.set("avg_temp_k", JsonValue::makeNumber(op.avgTemp()));
     out.set("power_w", JsonValue::makeNumber(op.totalPower()));
@@ -175,19 +168,18 @@ EvaluationService::select(const Request &req)
         tiered_->setOptions(topts);
         const workload::AppProfile &app = apps_[idx.value()];
         sel = drm_policy
-                  ? tiered_->selectDrm(app, req.space, *qual)
-                        .selection
+                  ? tiered_->selectDrm(app, req.space, qual).selection
                   : tiered_
                         ->selectDtm(app, req.space, req.t_design_k,
-                                    *qual)
+                                    qual)
                         .selection;
     } else {
         auto space = explored(idx.value(), req.space);
         if (!space)
             return space.error();
-        sel = drm_policy ? drm::selectDrm(*space.value(), *qual)
+        sel = drm_policy ? drm::selectDrm(*space.value(), qual)
                          : drm::selectDtm(*space.value(),
-                                          req.t_design_k, *qual);
+                                          req.t_design_k, qual);
     }
 
     JsonValue out = JsonValue::makeObject();
@@ -415,7 +407,7 @@ EvaluationService::remainingLifetime(const Request &req)
     const double point_fit =
         fit && fit->isNumber() ? fit->number : 0.0;
     const double target_fit =
-        qualification(req.t_qual_k)->spec().target_fit;
+        qualification(req.t_qual_k).spec().target_fit;
     const double eta_hours = aging::remainingHoursAtFit(
         *state, point_fit, target_fit,
         policy_params.service_life_years);

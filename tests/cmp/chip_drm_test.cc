@@ -54,12 +54,8 @@ syntheticApp(
     drm::ExploredApp app;
     app.app_name = name;
     app.base = syntheticOp(temp_perf.front().first, 4.0);
-    for (const auto &[t, perf] : temp_perf) {
-        drm::ExploredPoint pt;
-        pt.op = syntheticOp(t, 4.0);
-        pt.perf_rel = perf;
-        app.points.push_back(pt);
-    }
+    for (const auto &[t, perf] : temp_perf)
+        app.points.emplace_back(syntheticOp(t, 4.0), perf);
     return app;
 }
 

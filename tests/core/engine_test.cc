@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -83,13 +84,50 @@ TEST(FitReport, EmptyReportIsZero)
 
 TEST(RampEngine, SingleIntervalMatchesSteadyFit)
 {
-    const auto qual = makeQual();
-    RampEngine engine(qual, ones());
-    engine.addInterval(flat(362.0), flat(0.4), 1.0, 4.0, 1.0);
-    const auto a = engine.report();
-    const auto b =
-        steadyFit(qual, ones(), flat(362.0), flat(0.4), 1.0, 4.0);
-    EXPECT_NEAR(a.totalFit(), b.totalFit(), 1e-9);
+    // steadyFit prices a FitBasis; one one-second engine interval is
+    // the reference it must reproduce bit for bit, at the 16 T_quals
+    // the serve mix selects at, a non-default ambient, a scaled EM
+    // current density, and power-gated structures.
+    PerStructure<double> temps_k;
+    PerStructure<double> act;
+    for (std::size_t i = 0; i < temps_k.size(); ++i) {
+        temps_k[i] = 340.0 + 4.5 * static_cast<double>(i);
+        act[i] = 0.05 + 0.09 * static_cast<double>(i);
+    }
+    PerStructure<double> gated = ones();
+    gated[sim::structureIndex(StructureId::IntAlu)] = 2.0 / 6.0;
+    gated[sim::structureIndex(StructureId::Fpu)] = 0.25;
+    gated[sim::structureIndex(StructureId::IWin)] = 0.125;
+    gated[sim::structureIndex(StructureId::Lsq)] = 0.25;
+
+    for (double ambient_k : {300.0, 318.0})
+        for (double em_j_scale : {1.0, 1.7})
+            for (const auto &on : {ones(), gated})
+                for (int k = 0; k < 16; ++k) {
+                    QualificationSpec spec;
+                    spec.t_qual_k = 325.0 + 5.0 * k;
+                    spec.alpha_qual.fill(0.5);
+                    spec.ambient_k = ambient_k;
+                    spec.em_j_scale_qual = em_j_scale;
+                    const Qualification qual(spec);
+                    RampEngine engine(qual, on, em_j_scale);
+                    engine.addInterval(temps_k, act, 0.95, 3.5, 1.0);
+                    const auto want = engine.report();
+                    const auto got = steadyFit(qual, on, temps_k, act,
+                                               0.95, 3.5, em_j_scale);
+                    EXPECT_EQ(std::memcmp(&got.fit, &want.fit,
+                                          sizeof got.fit),
+                              0)
+                        << "T_qual " << spec.t_qual_k;
+                    EXPECT_EQ(std::memcmp(&got.avg_temp_k,
+                                          &want.avg_temp_k,
+                                          sizeof got.avg_temp_k),
+                              0);
+                    EXPECT_EQ(got.total_time_s, want.total_time_s);
+                    const double a = got.totalFit();
+                    const double b = want.totalFit();
+                    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
+                }
 }
 
 TEST(RampEngine, AveragesFitOverTime)

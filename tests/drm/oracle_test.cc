@@ -5,6 +5,8 @@
  * exploration end-to-end.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "drm/oracle.hh"
@@ -46,13 +48,64 @@ syntheticApp()
     app.base = syntheticOp(370.0, 4.0);
     for (auto [t, f, perf] :
          {std::tuple{345.0, 3.0, 0.8}, std::tuple{370.0, 4.0, 1.0},
-          std::tuple{395.0, 4.75, 1.15}}) {
-        ExploredPoint pt;
-        pt.op = syntheticOp(t, f);
-        pt.perf_rel = perf;
-        app.points.push_back(pt);
-    }
+          std::tuple{395.0, 4.75, 1.15}})
+        app.points.emplace_back(syntheticOp(t, f), perf);
     return app;
+}
+
+/** The FIT report a point must price to bit for bit: one second of
+ *  the multi-interval RampEngine. */
+core::FitReport
+referenceReport(const core::Qualification &qual,
+                const core::OperatingPoint &op)
+{
+    core::RampEngine engine(qual, power::poweredFractions(op.config));
+    engine.addInterval(op.temps_k, op.activity.activity,
+                       op.config.voltage_v, op.config.frequency_ghz, 1.0);
+    return engine.report();
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * At each of the 16 T_quals the serve mix selects at (325-400 K), and
+ * at a 310 K ambient, every valid point's basis pricing equals the
+ * reference report entry for entry, and its operatingPointFit and
+ * DRM/DTM Selection::table FIT equal the reference total, bit for bit.
+ */
+void
+expectPricedLikeReference(const ExploredApp &app)
+{
+    for (double ambient_k : {300.0, 310.0}) {
+        for (int k = 0; k < 16; ++k) {
+            core::QualificationSpec spec;
+            spec.t_qual_k = 325.0 + 5.0 * k;
+            spec.alpha_qual.fill(0.5);
+            spec.ambient_k = ambient_k;
+            const core::Qualification qual(spec);
+            const auto drm_sel = selectDrm(app, qual);
+            const auto dtm_sel = selectDtm(app, 370.0, qual);
+            for (std::size_t i = 0; i < app.points.size(); ++i) {
+                const ExploredPoint &pt = app.points[i];
+                if (!pt.valid)
+                    continue;
+                const auto want = referenceReport(qual, pt.op);
+                const auto got = qual.price(pt.basis(), pt.op.temps_k);
+                EXPECT_EQ(std::memcmp(&got.fit, &want.fit, sizeof got.fit),
+                          0)
+                    << "point " << i << " T_qual " << spec.t_qual_k;
+                const double total = want.totalFit();
+                EXPECT_TRUE(sameBits(got.totalFit(), total));
+                EXPECT_TRUE(sameBits(operatingPointFit(qual, pt.op), total));
+                EXPECT_TRUE(sameBits(drm_sel.table[i].fit, total));
+                EXPECT_TRUE(sameBits(dtm_sel.table[i].fit, total));
+            }
+        }
+    }
 }
 
 TEST(OperatingPointFit, AtQualPointEqualsTarget)
@@ -286,6 +339,24 @@ TEST(Explorer, SmallRealExplorationEndToEnd)
     // DRM at a generous T_qual picks at least base performance.
     const auto sel = selectDrm(explored, makeQual(400.0));
     EXPECT_GE(sel.perf_rel, 1.0 - 1e-9);
+
+    // The fig4 (DVS) space prices bit for bit like the reference.
+    expectPricedLikeReference(explored);
+}
+
+TEST(Explorer, Fig2ArchDvsSpacePricesLikeTheReference)
+{
+    // Every fig2 ArchDVS point, power-gated configurations (fewer
+    // ALUs/FPUs, smaller windows and queues) included.
+    core::EvalParams params;
+    params.warmup_uops = 40'000;
+    params.measure_uops = 60'000;
+    EvaluationCache cache(""); // in-memory: the DVS rungs share runs
+    const OracleExplorer explorer(params, &cache);
+    const auto explored = explorer.explore(workload::findApp("twolf"),
+                                           AdaptationSpace::ArchDvs);
+    ASSERT_EQ(explored.points.size(), 198u);
+    expectPricedLikeReference(explored);
 }
 
 } // namespace
