@@ -1,7 +1,6 @@
 #include "cmp/evaluator.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "cmp/telemetry.hh"
@@ -12,7 +11,6 @@
 namespace ramp {
 namespace cmp {
 
-using sim::num_structures;
 using sim::PerStructure;
 
 double
@@ -33,10 +31,10 @@ ChipOperatingPoint::maxTemp() const
     return m;
 }
 
-ChipEvaluator::ChipEvaluator(ChipFloorplan floorplan,
+ChipEvaluator::ChipEvaluator(const ChipFloorplan &floorplan,
                              const drm::OracleExplorer *explorer,
                              util::ThreadPool *pool)
-    : thermal_(std::move(floorplan),
+    : thermal_(floorplan.origins(),
                explorer->evaluator().params().thermal_params),
       explorer_(explorer), pool_(pool)
 {
@@ -90,87 +88,31 @@ ChipEvaluator::tryEvaluate(
             util::cat("core ", failures.front().first, ": ",
                       failures.front().second.message)};
 
-    // The coupled power/thermal fixed point, mirroring the
-    // single-core loop with the chip network.
+    // One coupled power/thermal fixed point over the chip network.
     const core::EvalParams &params = explorer_->evaluator().params();
     std::vector<power::PowerModel> pmodels;
     pmodels.reserve(n);
-    for (const auto &cfg : cfgs)
-        pmodels.emplace_back(cfg, params.power_params);
-
-    std::vector<PerStructure<double>> temps(n);
-    for (auto &t : temps)
-        t.fill(params.thermal_params.ambient_k + 30.0);
-
-    // Same clamp as the single-core evaluator: above ~450 K the
-    // exponential leakage loop has no stable fixed point.
-    constexpr double leak_temp_cap = 450.0;
-
-    converge_calls.add();
-    std::vector<PerStructure<double>> dyn(n);
-    for (std::size_t c = 0; c < n; ++c)
-        dyn[c] = pmodels[c].dynamicPower(chip.cores[c].activity);
-
-    double final_residual_k = 0.0;
-    ChipSteadyTemps steady{};
-    std::vector<PerStructure<double>> total(n);
-    for (std::uint32_t it = 0; it < params.max_iterations; ++it) {
-        for (std::size_t c = 0; c < n; ++c) {
-            PerStructure<double> leak_temps = temps[c];
-            for (auto &t : leak_temps)
-                t = std::min(t, leak_temp_cap);
-            if (!params.leakage_feedback)
-                leak_temps.fill(params.power_params.leakage_t_ref);
-            const auto leak = pmodels[c].leakagePower(leak_temps);
-            for (std::size_t i = 0; i < num_structures; ++i)
-                total[c][i] = dyn[c][i] + leak[i];
-        }
-        auto solve = thermal_.trySteadyState(total);
-        if (!solve)
-            return solve.error();
-        steady = std::move(solve.value());
-
-        double worst = 0.0;
-        for (std::size_t c = 0; c < n; ++c) {
-            for (std::size_t i = 0; i < num_structures; ++i) {
-                worst = std::max(
-                    worst, std::fabs(steady.core_k[c][i] -
-                                     temps[c][i]));
-                temps[c][i] =
-                    0.5 * temps[c][i] + 0.5 * steady.core_k[c][i];
-            }
-        }
-        final_residual_k = worst;
-        if (worst < params.tolerance_k)
-            break;
-        if (it + 1 == params.max_iterations)
-            util::warn("chip thermal fixed point hit the iteration "
-                       "limit");
+    std::vector<PerStructure<double>> dyn;
+    for (std::size_t c = 0; c < n; ++c) {
+        pmodels.emplace_back(cfgs[c], params.power_params);
+        dyn.push_back(pmodels[c].dynamicPower(chip.cores[c].activity));
     }
+    converge_calls.add();
+    auto result = core::tryConvergeLeakage(thermal_, pmodels, dyn, params);
+    if (!result)
+        return result.error();
+    const core::ThermalFixedPoint &fp = result.value();
 
-    chip.converged = final_residual_k < params.tolerance_k;
+    chip.converged = fp.converged;
     if (!chip.converged)
         non_converged.add();
-
-    chip.sink_temp_k = steady.sink_k;
+    chip.sink_temp_k = fp.sink_k;
     for (std::size_t c = 0; c < n; ++c) {
         core::OperatingPoint &op = chip.cores[c];
-        op.temps_k = temps[c];
-        op.sink_temp_k = steady.sink_k;
+        op.temps_k = fp.temps_k[c];
+        op.sink_temp_k = fp.sink_k;
         op.converged = chip.converged;
-        PerStructure<double> leak_temps = temps[c];
-        for (auto &t : leak_temps)
-            t = std::min(t, leak_temp_cap);
-        if (!params.leakage_feedback)
-            leak_temps.fill(params.power_params.leakage_t_ref);
-        op.power = pmodels[c].breakdown(op.activity, leak_temps);
-        for (double t : op.temps_k)
-            if (!std::isfinite(t))
-                return util::RampError{
-                    util::ErrorCode::NonFiniteValue,
-                    util::cat("chip thermal fixed point produced "
-                              "non-finite temperatures on core ",
-                              c)};
+        op.power = fp.power[c];
     }
     return chip;
 }

@@ -6,12 +6,11 @@
  *
  * Timing is temperature-independent, so each core's activity sample
  * is exactly the single-core evaluation's (and comes from the shared
- * evaluation cache when warm). The fixed point then mirrors the
- * single-core loop (core/evaluator.cc) with the chip network in
- * place of the per-core one: dynamic power per core from activity,
- * leakage from each core's (clamped) temperatures, a chip
- * steady-state solve, damped updates, same tolerance and iteration
- * limit. Per-core results land by core index, so cold runs are
+ * evaluation cache when warm). The fixed point is the single-core
+ * one (core::tryConvergeLeakage) run over the chip's N-tile network:
+ * dynamic power per core from activity, leakage from each core's
+ * (clamped) temperatures, one coupled steady-state solve per
+ * iteration. Per-core results land by core index, so cold runs are
  * bit-identical at any thread count.
  */
 
@@ -20,9 +19,9 @@
 #include <vector>
 
 #include "cmp/floorplan.hh"
-#include "cmp/thermal.hh"
 #include "core/evaluator.hh"
 #include "drm/oracle.hh"
+#include "thermal/model.hh"
 #include "util/error.hh"
 #include "util/thread_pool.hh"
 #include "workload/profile.hh"
@@ -57,14 +56,14 @@ class ChipEvaluator
 {
   public:
     /**
-     * @param floorplan Tile placement; copied.
+     * @param floorplan Tile placement.
      * @param explorer Single-core evaluation path (cache-backed);
      *        must outlive the evaluator. Its EvalParams also supply
      *        the power/thermal constants of the coupled solve.
      * @param pool Pool the per-core timing runs fan out across; must
      *        outlive the evaluator. Null means serial.
      */
-    ChipEvaluator(ChipFloorplan floorplan,
+    ChipEvaluator(const ChipFloorplan &floorplan,
                   const drm::OracleExplorer *explorer,
                   util::ThreadPool *pool = nullptr);
 
@@ -80,11 +79,10 @@ class ChipEvaluator
     tryEvaluate(const std::vector<const workload::AppProfile *> &apps,
                 const std::vector<sim::MachineConfig> &cfgs) const;
 
-    const ChipThermalModel &thermalModel() const { return thermal_; }
-    std::size_t numCores() const { return thermal_.numCores(); }
+    std::size_t numCores() const { return thermal_.numTiles(); }
 
   private:
-    ChipThermalModel thermal_;
+    thermal::ThermalModel thermal_;
     const drm::OracleExplorer *explorer_;
     util::ThreadPool *pool_;
 };

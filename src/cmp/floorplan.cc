@@ -17,27 +17,6 @@ namespace {
 
 constexpr double eps_mm = 1e-9;
 
-/** Overlap length of 1-D segments [a0,a1] and [b0,b1]. */
-double
-overlap(double a0, double a1, double b0, double b1)
-{
-    return std::max(0.0, std::min(a1, b1) - std::max(a0, b0));
-}
-
-/** Border length shared by two axis-aligned rectangles. */
-double
-rectBorder(double ax, double ay, double aw, double ah, double bx,
-           double by, double bw, double bh)
-{
-    if (std::fabs((ax + aw) - bx) < eps_mm ||
-        std::fabs((bx + bw) - ax) < eps_mm)
-        return overlap(ay, ay + ah, by, by + bh);
-    if (std::fabs((ay + ah) - by) < eps_mm ||
-        std::fabs((by + bh) - ay) < eps_mm)
-        return overlap(ax, ax + aw, bx, bx + bw);
-    return 0.0;
-}
-
 util::RampError
 planError(const std::string &origin, const std::string &what)
 {
@@ -68,12 +47,12 @@ validateTiles(const std::vector<CoreTile> &tiles, double size,
 
     for (std::size_t i = 0; i < tiles.size(); ++i)
         for (std::size_t j = 0; j < i; ++j) {
-            const double ox =
-                overlap(tiles[i].x_mm, tiles[i].x_mm + size,
-                        tiles[j].x_mm, tiles[j].x_mm + size);
-            const double oy =
-                overlap(tiles[i].y_mm, tiles[i].y_mm + size,
-                        tiles[j].y_mm, tiles[j].y_mm + size);
+            const double ox = std::min(tiles[i].x_mm + size,
+                                       tiles[j].x_mm + size) -
+                              std::max(tiles[i].x_mm, tiles[j].x_mm);
+            const double oy = std::min(tiles[i].y_mm + size,
+                                       tiles[j].y_mm + size) -
+                              std::max(tiles[i].y_mm, tiles[j].y_mm);
             if (ox > eps_mm && oy > eps_mm)
                 return coreError(
                     origin, i,
@@ -94,9 +73,9 @@ validateTiles(const std::vector<CoreTile> &tiles, double size,
             for (std::size_t b = 0; b < tiles.size(); ++b) {
                 if (seen[b])
                     continue;
-                if (rectBorder(tiles[a].x_mm, tiles[a].y_mm, size,
-                               size, tiles[b].x_mm, tiles[b].y_mm,
-                               size, size) > eps_mm) {
+                if (thermal::sharedBorder(tiles[a].footprint(size),
+                                          tiles[b].footprint(size)) >
+                    eps_mm) {
                     seen[b] = 1;
                     stack.push_back(b);
                 }
@@ -131,10 +110,9 @@ ChipFloorplan::grid(std::size_t cores)
     std::vector<CoreTile> tiles;
     tiles.reserve(cores);
     for (std::size_t i = 0; i < cores; ++i)
-        tiles.push_back(
-            {util::cat("core", i),
-             static_cast<double>(i % columns) * s,
-             static_cast<double>(i / columns) * s});
+        tiles.push_back({{static_cast<double>(i % columns) * s,
+                          static_cast<double>(i / columns) * s},
+                         util::cat("core", i)});
     return ChipFloorplan(std::move(tiles));
 }
 
@@ -215,13 +193,19 @@ ChipFloorplan::tryLoad(const std::string &path)
     return tryParse(*doc, path);
 }
 
+std::vector<thermal::TileOrigin>
+ChipFloorplan::origins() const
+{
+    std::vector<thermal::TileOrigin> out;
+    for (const CoreTile &tile : tiles_)
+        out.push_back({tile.x_mm, tile.y_mm});
+    return out;
+}
+
 thermal::Block
 ChipFloorplan::chipBlock(std::size_t core, StructureId id) const
 {
-    thermal::Block b = core_.block(id);
-    b.x += tiles_[core].x_mm;
-    b.y += tiles_[core].y_mm;
-    return b;
+    return tiles_[core].place(core_.block(id));
 }
 
 double
@@ -230,10 +214,9 @@ ChipFloorplan::sharedBorder(std::size_t core_a, StructureId a,
                             StructureId b) const
 {
     if (core_a == core_b)
-        return a == b ? 0.0 : core_.sharedBorder(a, b);
-    const thermal::Block p = chipBlock(core_a, a);
-    const thermal::Block q = chipBlock(core_b, b);
-    return rectBorder(p.x, p.y, p.w, p.h, q.x, q.y, q.w, q.h);
+        return core_.sharedBorder(a, b);
+    return thermal::sharedBorder(chipBlock(core_a, a),
+                                 chipBlock(core_b, b));
 }
 
 double
@@ -241,23 +224,18 @@ ChipFloorplan::centerDistance(std::size_t core_a, StructureId a,
                               std::size_t core_b,
                               StructureId b) const
 {
-    const thermal::Block p = chipBlock(core_a, a);
-    const thermal::Block q = chipBlock(core_b, b);
-    const double dx = p.cx() - q.cx();
-    const double dy = p.cy() - q.cy();
-    return std::sqrt(dx * dx + dy * dy);
+    return thermal::centerDistance(chipBlock(core_a, a),
+                                   chipBlock(core_b, b));
 }
 
 bool
 ChipFloorplan::tilesAdjacent(std::size_t core_a,
                              std::size_t core_b) const
 {
-    if (core_a == core_b)
-        return false;
-    const double s = tileSize();
-    return rectBorder(tiles_[core_a].x_mm, tiles_[core_a].y_mm, s, s,
-                      tiles_[core_b].x_mm, tiles_[core_b].y_mm, s,
-                      s) > eps_mm;
+    return core_a != core_b &&
+           thermal::sharedBorder(tiles_[core_a].footprint(tileSize()),
+                                 tiles_[core_b].footprint(tileSize())) >
+               eps_mm;
 }
 
 } // namespace cmp

@@ -34,12 +34,10 @@
 namespace ramp {
 namespace cmp {
 
-/** Placement of one core tile on the chip (mm). */
-struct CoreTile
+/** A named core tile placed on the chip. */
+struct CoreTile : thermal::TileOrigin
 {
     std::string name;
-    double x_mm = 0.0; ///< Left edge of the tile.
-    double y_mm = 0.0; ///< Bottom edge of the tile.
 };
 
 /** An N-core tiled chip floorplan. */
@@ -78,6 +76,9 @@ class ChipFloorplan
 
     /** The per-core structure layout every tile instantiates. */
     const thermal::Floorplan &coreFloorplan() const { return core_; }
+
+    /** Tile origins in core order (the thermal network placement). */
+    std::vector<thermal::TileOrigin> origins() const;
 
     /** A structure's block in chip coordinates. */
     thermal::Block chipBlock(std::size_t core,

@@ -48,28 +48,6 @@ evalMetrics()
 
 } // namespace
 
-double
-OperatingPoint::maxTemp() const
-{
-    double m = temps_k[0];
-    for (double t : temps_k)
-        m = std::max(m, t);
-    return m;
-}
-
-double
-OperatingPoint::avgTemp() const
-{
-    double sum = 0.0;
-    double area = 0.0;
-    for (auto id : sim::allStructures()) {
-        const double a = sim::structureArea(id);
-        sum += temps_k[sim::structureIndex(id)] * a;
-        area += a;
-    }
-    return sum / area;
-}
-
 Evaluator::Evaluator(EvalParams params) : params_(params)
 {
     if (params_.measure_uops == 0)
@@ -101,22 +79,13 @@ convergeSiteHash(const sim::MachineConfig &cfg,
 
 } // namespace
 
-util::Result<OperatingPoint>
-Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
-                              const sim::ActivitySample &activity,
-                              const sim::CoreStats &stats) const
+util::Result<ThermalFixedPoint>
+tryConvergeLeakage(const thermal::ThermalModel &network,
+                   std::span<const power::PowerModel> pmodels,
+                   thermal::TileMaps dynamic_w, const EvalParams &params)
 {
-    const power::PowerModel pmodel(cfg, params_.power_params);
-    const thermal::ThermalModel tmodel(params_.thermal_params);
-
-    OperatingPoint op;
-    op.config = cfg;
-    op.activity = activity;
-    op.stats = stats;
-
-    // Start from a flat guess a little above ambient.
-    PerStructure<double> temps;
-    temps.fill(params_.thermal_params.ambient_k + 30.0);
+    static const telemetry::Counter leak_clamped =
+        telemetry::counter("evaluator.leak_clamped");
 
     // Leakage evaluation temperature is clamped: above ~450 K the
     // exponential leakage-temperature loop has no stable fixed point
@@ -124,55 +93,116 @@ Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
     // operating points then report enormous (but finite) temperatures
     // and FIT, and every selection policy rejects them.
     constexpr double leak_temp_cap = 450.0;
-
-    auto &metrics = evalMetrics();
-    metrics.converge_calls.add();
-    std::uint32_t iterations = 0;
-    double final_residual_k = 0.0;
-
-    const auto dyn = pmodel.dynamicPower(activity);
-    thermal::SteadyTemps steady{};
-    for (std::uint32_t it = 0; it < params_.max_iterations; ++it) {
-        PerStructure<double> leak_temps = temps;
+    const auto leakage = [&](std::size_t tile,
+                             const PerStructure<double> &temps_k) {
+        PerStructure<double> leak_temps = temps_k;
         for (auto &t : leak_temps)
             t = std::min(t, leak_temp_cap);
-        if (!params_.leakage_feedback) {
+        if (!params.leakage_feedback) {
             // Ablation: leakage pinned at the reference density.
-            leak_temps.fill(params_.power_params.leakage_t_ref);
+            leak_temps.fill(params.power_params.leakage_t_ref);
         }
-        const auto leak = pmodel.leakagePower(leak_temps);
+        return pmodels[tile].leakagePower(leak_temps);
+    };
 
-        PerStructure<double> total{};
-        for (std::size_t i = 0; i < num_structures; ++i)
-            total[i] = dyn[i] + leak[i];
-        auto solve = tmodel.trySteadyState(total);
+    const std::size_t tiles = network.numTiles();
+    if (pmodels.size() != tiles || dynamic_w.size() != tiles)
+        util::panic("fixed point needs one power model and one dynamic "
+                    "power map per tile");
+
+    // Start from a flat guess a little above ambient.
+    ThermalFixedPoint fp;
+    fp.temps_k.resize(tiles);
+    for (auto &t : fp.temps_k)
+        t.fill(params.thermal_params.ambient_k + 30.0);
+
+    std::vector<PerStructure<double>> total(tiles);
+    thermal::SteadyTemps steady{};
+    for (std::uint32_t it = 0; it < params.max_iterations; ++it) {
+        for (std::size_t c = 0; c < tiles; ++c) {
+            const auto leak = leakage(c, fp.temps_k[c]);
+            for (std::size_t i = 0; i < num_structures; ++i)
+                total[c][i] = dynamic_w[c][i] + leak[i];
+        }
+        auto solve = network.trySteadyState(total);
         if (!solve)
             return solve.error();
         steady = std::move(solve.value());
 
         double worst = 0.0;
-        for (std::size_t i = 0; i < num_structures; ++i) {
-            worst = std::max(worst,
-                             std::fabs(steady.block_k[i] - temps[i]));
-            // Mild damping keeps the exponential leakage loop stable
-            // even at high power density.
-            temps[i] = 0.5 * temps[i] + 0.5 * steady.block_k[i];
+        for (std::size_t c = 0; c < tiles; ++c) {
+            PerStructure<double> &temps = fp.temps_k[c];
+            const double *solved_k = &steady.block_k[c * num_structures];
+            for (std::size_t i = 0; i < num_structures; ++i) {
+                worst = std::max(worst, std::fabs(solved_k[i] - temps[i]));
+                // Mild damping keeps the exponential leakage loop
+                // stable even at high power density.
+                temps[i] = 0.5 * temps[i] + 0.5 * solved_k[i];
+            }
         }
-        ++iterations;
-        final_residual_k = worst;
-        if (worst < params_.tolerance_k)
+        ++fp.iterations;
+        fp.residual_k = worst;
+        if (worst < params.tolerance_k)
             break;
-        if (it + 1 == params_.max_iterations)
+        if (it + 1 == params.max_iterations)
             util::warn("thermal fixed point hit the iteration limit");
     }
-    metrics.iterations.add(static_cast<double>(iterations));
-    metrics.residual_k.add(final_residual_k);
+    fp.converged = fp.residual_k < params.tolerance_k;
+    fp.sink_k = steady.sink_k;
+
+    // Final power at the clamped final temperatures; the clamp
+    // counter reports runaway points instead of hiding them.
+    bool clamped = false;
+    for (std::size_t c = 0; c < tiles; ++c) {
+        fp.power.push_back({dynamic_w[c], leakage(c, fp.temps_k[c])});
+        for (double t : fp.temps_k[c]) {
+            if (!std::isfinite(t))
+                return util::RampError{
+                    util::ErrorCode::NonFiniteValue,
+                    util::cat("thermal fixed point produced non-finite "
+                              "temperatures on core ",
+                              c)};
+            clamped = clamped ||
+                      (params.leakage_feedback && t > leak_temp_cap);
+        }
+    }
+    if (clamped)
+        leak_clamped.add();
+    return fp;
+}
+
+util::Result<OperatingPoint>
+Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
+                              const sim::ActivitySample &activity,
+                              const sim::CoreStats &stats) const
+{
+    const power::PowerModel pmodel(cfg, params_.power_params);
+    const thermal::ThermalModel network(params_.thermal_params);
+    const auto dyn = pmodel.dynamicPower(activity);
+
+    auto &metrics = evalMetrics();
+    metrics.converge_calls.add();
+    auto result = tryConvergeLeakage(network, {&pmodel, 1}, {&dyn, 1},
+                                     params_);
+    if (!result)
+        return result.error();
+    const ThermalFixedPoint &fp = result.value();
+    metrics.iterations.add(static_cast<double>(fp.iterations));
+    metrics.residual_k.add(fp.residual_k);
+
+    OperatingPoint op;
+    op.config = cfg;
+    op.activity = activity;
+    op.stats = stats;
+    op.temps_k = fp.temps_k[0];
+    op.sink_temp_k = fp.sink_k;
+    op.power = fp.power[0];
 
     // Stopped at the limit without meeting tolerance: the iterate is
     // not a fixed point. Also the hook for the forced-non-convergence
     // fault, which flags the (otherwise clean) point so downstream
     // handling of untrusted evaluations can be exercised.
-    op.converged = final_residual_k < params_.tolerance_k;
+    op.converged = fp.converged;
     if (const auto *plan = fault::activeFaultPlan();
         plan && op.converged &&
         fault::forceNonConvergence(
@@ -180,21 +210,6 @@ Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
         op.converged = false;
     if (!op.converged)
         metrics.non_converged.add();
-
-    op.temps_k = temps;
-    op.sink_temp_k = steady.sink_k;
-    PerStructure<double> leak_temps = temps;
-    for (auto &t : leak_temps)
-        t = std::min(t, leak_temp_cap);
-    if (!params_.leakage_feedback)
-        leak_temps.fill(params_.power_params.leakage_t_ref);
-    op.power = pmodel.breakdown(activity, leak_temps);
-    for (double t : op.temps_k)
-        if (!std::isfinite(t))
-            return util::RampError{
-                util::ErrorCode::NonFiniteValue,
-                "thermal fixed point produced non-finite "
-                "temperatures"};
     return op;
 }
 

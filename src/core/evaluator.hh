@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "power/power.hh"
 #include "sim/core.hh"
@@ -60,10 +62,10 @@ struct OperatingPoint
     }
 
     /** Hottest structure temperature (the DTM constraint). */
-    double maxTemp() const;
+    double maxTemp() const { return sim::maxOf(temps_k); }
 
     /** Area-weighted average temperature. */
-    double avgTemp() const;
+    double avgTemp() const { return sim::areaWeightedMean(temps_k); }
 
     /** Total chip power in watts. */
     double totalPower() const { return power.total(); }
@@ -97,6 +99,34 @@ struct EvalParams
     power::PowerParams power_params{};
     thermal::ThermalParams thermal_params{};
 };
+
+/** Outcome of one leakage/thermal fixed point, indexed by tile. */
+struct ThermalFixedPoint
+{
+    /** Converged (or last) block temperatures per tile. */
+    std::vector<sim::PerStructure<double>> temps_k;
+    /** Power per tile, leakage at the (clamped) final temperatures. */
+    std::vector<power::PowerBreakdown> power;
+    double sink_k = 0.0;
+    std::uint32_t iterations = 0;
+    double residual_k = 0.0; ///< Worst block change, last iteration.
+    bool converged = false;  ///< residual_k < EvalParams::tolerance_k.
+};
+
+/**
+ * The power/thermal fixed point (paper Section 6.3) over any tile
+ * count: leakage from each tile's temperatures, one steady solve of
+ * the whole network, damped updates until every block moves less
+ * than the tolerance. One power model and one dynamic power map per
+ * tile of @p network. A singular solve or non-finite temperatures
+ * are errors; hitting the iteration limit is not (converged ==
+ * false). Leakage is evaluated at no more than 450 K; fixed points
+ * that end with the clamp engaged are counted.
+ */
+[[nodiscard]] util::Result<ThermalFixedPoint>
+tryConvergeLeakage(const thermal::ThermalModel &network,
+                   std::span<const power::PowerModel> pmodels,
+                   thermal::TileMaps dynamic_w, const EvalParams &params);
 
 /**
  * Evaluates (application, machine) operating points. Stateless apart

@@ -301,9 +301,6 @@ EvaluationCache::openAppender()
     // milliseconds, not every append for the rest of the run.
     for (int attempt = 0;; ++attempt) {
         appender_.clear();
-        // std::ofstream::open, not serve's Result-returning open;
-        // the cross-TU pass matches by name only.
-        // ramp-lint: allow(result-discipline): std::ofstream::open name-collision
         appender_.open(path_, std::ios::app);
         if (appender_)
             return true;

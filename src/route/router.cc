@@ -123,7 +123,9 @@ Router::acceptLoop()
     while (!draining()) {
         auto accepted = util::acceptTcp(listener_.socket, 200);
         // Reap finished readers so the connection table tracks live
-        // peers, not history.
+        // peers, not history. Only joined ones: a reader finishing
+        // between the two passes would otherwise drop the last
+        // reference to its own joinable thread and terminate.
         {
             std::lock_guard<std::mutex> lk(conns_mu_);
             for (auto &conn : conns_) {
@@ -136,7 +138,8 @@ Router::acceptLoop()
                     conns_.begin(), conns_.end(),
                     [](const std::shared_ptr<Connection> &c) {
                         return c->done.load(
-                            std::memory_order_acquire);
+                                   std::memory_order_acquire) &&
+                               !c->thread.joinable();
                     }),
                 conns_.end());
         }

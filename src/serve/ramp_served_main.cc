@@ -221,7 +221,6 @@ main(int argc, char **argv)
         repl_opts.peers = peers;
         replicator = std::make_unique<serve::Replicator>(
             service.cache(), repl_opts);
-        // ramp-lint: allow(result-discipline): Replicator::start returns void; name collision
         replicator->start();
     }
 

@@ -1,5 +1,7 @@
 #include "sim/structures.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace ramp {
@@ -61,6 +63,28 @@ totalCoreArea()
     for (const auto &d : descs)
         total += d.area_mm2;
     return total;
+}
+
+double
+maxOf(const PerStructure<double> &v)
+{
+    double m = v[0];
+    for (double x : v)
+        m = std::max(m, x);
+    return m;
+}
+
+double
+areaWeightedMean(const PerStructure<double> &v)
+{
+    double sum = 0.0;
+    double area = 0.0;
+    for (auto id : allStructures()) {
+        const double a = structureArea(id);
+        sum += v[structureIndex(id)] * a;
+        area += a;
+    }
+    return sum / area;
 }
 
 } // namespace sim

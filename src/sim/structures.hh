@@ -77,6 +77,12 @@ double totalCoreArea();
 template <typename T>
 using PerStructure = std::array<T, num_structures>;
 
+/** Largest value of a per-structure map (e.g. the hottest block). */
+double maxOf(const PerStructure<double> &v);
+
+/** Structure-area-weighted mean of a per-structure map. */
+double areaWeightedMean(const PerStructure<double> &v);
+
 } // namespace sim
 } // namespace ramp
 

@@ -66,35 +66,38 @@ overlap(double a0, double a1, double b0, double b1)
 } // namespace
 
 double
-Floorplan::sharedBorder(StructureId a, StructureId b) const
+sharedBorder(const Block &p, const Block &q)
 {
-    if (a == b)
-        return 0.0;
-    const Block &p = block(a);
-    const Block &q = block(b);
     const double eps = 1e-9;
-
     // Vertical borders (p right edge on q left edge or vice versa).
     if (std::fabs((p.x + p.w) - q.x) < eps ||
-        std::fabs((q.x + q.w) - p.x) < eps) {
+        std::fabs((q.x + q.w) - p.x) < eps)
         return overlap(p.y, p.y + p.h, q.y, q.y + q.h);
-    }
     // Horizontal borders.
     if (std::fabs((p.y + p.h) - q.y) < eps ||
-        std::fabs((q.y + q.h) - p.y) < eps) {
+        std::fabs((q.y + q.h) - p.y) < eps)
         return overlap(p.x, p.x + p.w, q.x, q.x + q.w);
-    }
     return 0.0;
+}
+
+double
+centerDistance(const Block &p, const Block &q)
+{
+    const double dx = p.cx() - q.cx();
+    const double dy = p.cy() - q.cy();
+    return std::sqrt(dx * dx + dy * dy);
+}
+
+double
+Floorplan::sharedBorder(StructureId a, StructureId b) const
+{
+    return a == b ? 0.0 : thermal::sharedBorder(block(a), block(b));
 }
 
 double
 Floorplan::centerDistance(StructureId a, StructureId b) const
 {
-    const Block &p = block(a);
-    const Block &q = block(b);
-    const double dx = p.cx() - q.cx();
-    const double dy = p.cy() - q.cy();
-    return std::sqrt(dx * dx + dy * dy);
+    return thermal::centerDistance(block(a), block(b));
 }
 
 } // namespace thermal

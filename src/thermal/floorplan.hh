@@ -33,6 +33,36 @@ struct Block
     double cy() const { return y + h / 2.0; }
 };
 
+/** Lower-left corner of one core tile on the chip (mm). */
+struct TileOrigin
+{
+    double x_mm = 0.0;
+    double y_mm = 0.0;
+
+    /** A tile-local block moved to chip coordinates. */
+    Block place(Block b) const
+    {
+        b.x += x_mm;
+        b.y += y_mm;
+        return b;
+    }
+
+    /** The square tile of edge @p size_mm (its block id is unused). */
+    Block footprint(double size_mm) const
+    {
+        return {{}, x_mm, y_mm, size_mm, size_mm};
+    }
+};
+
+/**
+ * Length (mm) of the border two blocks share; 0 when they do not
+ * abut (edges coincide within 1e-9 mm). Symmetric.
+ */
+double sharedBorder(const Block &p, const Block &q);
+
+/** Distance between two blocks' centers (mm). */
+double centerDistance(const Block &p, const Block &q);
+
 /** The fixed R10000-like core floorplan. */
 class Floorplan
 {
@@ -42,12 +72,6 @@ class Floorplan
 
     /** Block placement for a structure. */
     const Block &block(sim::StructureId id) const;
-
-    /** All blocks, indexed by structureIndex. */
-    const std::array<Block, sim::num_structures> &blocks() const
-    {
-        return blocks_;
-    }
 
     /** Die edge length (mm); the die is square. */
     double dieSize() const { return die_mm_; }

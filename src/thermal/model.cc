@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.hh"
 #include "util/telemetry.hh"
@@ -14,34 +15,24 @@ using sim::num_structures;
 using sim::PerStructure;
 using sim::structureIndex;
 
-double
-SteadyTemps::maxBlock() const
+PerStructure<double>
+SteadyTemps::tile(std::size_t c) const
 {
-    double m = block_k[0];
-    for (double t : block_k)
-        m = std::max(m, t);
-    return m;
+    PerStructure<double> t{};
+    for (std::size_t i = 0; i < num_structures; ++i)
+        t[i] = block_k[c * num_structures + i];
+    return t;
 }
 
-double
-SteadyTemps::avgBlock() const
-{
-    double sum = 0.0;
-    double area = 0.0;
-    for (auto id : allStructures()) {
-        const double a = sim::structureArea(id);
-        sum += block_k[structureIndex(id)] * a;
-        area += a;
-    }
-    return sum / area;
-}
-
-ThermalModel::ThermalModel(ThermalParams params)
-    : params_(params), spreader_(num_structures),
-      sink_(num_structures + 1), g_(nodes(), nodes()),
-      g_amb_(nodes(), 0.0), cap_(nodes(), 0.0),
+ThermalModel::ThermalModel(std::vector<TileOrigin> tiles,
+                           ThermalParams params)
+    : params_(params), tiles_(std::move(tiles)),
+      spreader_(blockNodes()), sink_(blockNodes() + 1),
+      g_(nodes(), nodes()), g_amb_(nodes(), 0.0), cap_(nodes(), 0.0),
       state_(nodes(), params.ambient_k)
 {
+    if (tiles_.empty())
+        util::fatal("thermal model needs at least one tile");
     if (params_.ambient_k <= 0.0)
         util::fatal("ambient temperature must be positive kelvin");
     if (params_.r_vertical_mm2 <= 0.0 || params_.r_spreader <= 0.0 ||
@@ -58,48 +49,73 @@ ThermalModel::ThermalModel(ThermalParams params)
 void
 ThermalModel::buildNetwork()
 {
+    // Every G entry is written exactly once, so the assembled system
+    // does not depend on the order of the loops below.
+    const std::size_t n_tiles = numTiles();
+    const auto node = [](std::size_t tile, sim::StructureId id) {
+        return tile * num_structures + structureIndex(id);
+    };
+    const auto link = [&](std::size_t i, std::size_t j, double g) {
+        g_.at(i, j) += g;
+        g_.at(j, i) += g;
+    };
+
     // Vertical block -> spreader conduction. Block areas carry the
     // technology area scale; lateral conductances do not (border and
     // distance shrink together).
-    for (auto id : allStructures()) {
-        const std::size_t i = structureIndex(id);
-        const double area =
-            floorplan_.block(id).area() * params_.area_scale;
-        const double g = area / params_.r_vertical_mm2;
-        g_.at(i, spreader_) += g;
-        g_.at(spreader_, i) += g;
-    }
+    for (std::size_t c = 0; c < n_tiles; ++c)
+        for (auto id : allStructures())
+            link(node(c, id), spreader_,
+                 floorplan_.block(id).area() * params_.area_scale /
+                     params_.r_vertical_mm2);
 
-    // Lateral block <-> block conduction through the die.
+    // Lateral block <-> block conduction through the die: within a
+    // tile by tile-local geometry, across abutting tiles by chip
+    // coordinates.
     const double kt = params_.k_silicon * params_.die_thickness;
-    for (auto a : allStructures()) {
-        for (auto b : allStructures()) {
-            if (structureIndex(b) <= structureIndex(a))
+    for (std::size_t c = 0; c < n_tiles; ++c) {
+        for (auto a : allStructures()) {
+            for (auto b : allStructures()) {
+                if (structureIndex(b) <= structureIndex(a))
+                    continue;
+                const double border = floorplan_.sharedBorder(a, b);
+                if (border > 0.0)
+                    link(node(c, a), node(c, b),
+                         kt * border /
+                             floorplan_.centerDistance(a, b));
+            }
+        }
+    }
+    const double s = floorplan_.dieSize();
+    for (std::size_t c = 0; c < n_tiles; ++c) {
+        for (std::size_t d = c + 1; d < n_tiles; ++d) {
+            if (sharedBorder(tiles_[c].footprint(s),
+                             tiles_[d].footprint(s)) <= 1e-9)
                 continue;
-            const double border = floorplan_.sharedBorder(a, b);
-            if (border <= 0.0)
-                continue;
-            const double dist = floorplan_.centerDistance(a, b);
-            const double g = kt * border / dist;
-            const std::size_t i = structureIndex(a);
-            const std::size_t j = structureIndex(b);
-            g_.at(i, j) += g;
-            g_.at(j, i) += g;
+            for (auto a : allStructures()) {
+                const Block p = tiles_[c].place(floorplan_.block(a));
+                for (auto b : allStructures()) {
+                    const Block q = tiles_[d].place(floorplan_.block(b));
+                    const double border = sharedBorder(p, q);
+                    if (border > 0.0)
+                        link(node(c, a), node(d, b),
+                             kt * border / centerDistance(p, q));
+                }
+            }
         }
     }
 
-    // Spreader -> sink, sink -> ambient.
-    g_.at(spreader_, sink_) += 1.0 / params_.r_spreader;
-    g_.at(sink_, spreader_) += 1.0 / params_.r_spreader;
+    // Shared spreader -> shared sink, sink -> ambient.
+    link(spreader_, sink_, 1.0 / params_.r_spreader);
     g_amb_[sink_] = 1.0 / params_.r_convection;
 
     // Capacitances.
-    for (auto id : allStructures()) {
-        const double vol = floorplan_.block(id).area() *
-                           params_.area_scale *
-                           params_.die_thickness;
-        cap_[structureIndex(id)] = params_.c_silicon * vol;
-    }
+    for (std::size_t c = 0; c < n_tiles; ++c)
+        for (auto id : allStructures())
+            cap_[node(c, id)] = params_.c_silicon *
+                                (floorplan_.block(id).area() *
+                                 params_.area_scale *
+                                 params_.die_thickness);
     cap_[spreader_] = params_.c_spreader;
     cap_[sink_] = params_.c_sink;
 
@@ -116,8 +132,17 @@ ThermalModel::buildNetwork()
     max_stable_dt_ *= 0.5; // safety margin
 }
 
+void
+ThermalModel::checkTiles(TileMaps power_w) const
+{
+    if (power_w.size() != numTiles())
+        util::panic(util::cat("thermal model got ", power_w.size(),
+                              " power maps for ", numTiles(),
+                              " tiles"));
+}
+
 util::Result<SteadyTemps>
-ThermalModel::trySteadyState(const PerStructure<double> &power_w) const
+ThermalModel::trySteadyState(TileMaps power_w) const
 {
     static const telemetry::Counter solves =
         telemetry::counter("thermal.steady_solves");
@@ -125,6 +150,7 @@ ThermalModel::trySteadyState(const PerStructure<double> &power_w) const
 
     // Solve A*T = b with A_ii = sum_j g_ij + g_amb_i, A_ij = -g_ij,
     // b_i = P_i + g_amb_i * T_amb.
+    checkTiles(power_w);
     const std::size_t n = nodes();
     util::Matrix a(n, n);
     std::vector<double> b(n, 0.0);
@@ -137,20 +163,18 @@ ThermalModel::trySteadyState(const PerStructure<double> &power_w) const
         }
         a.at(i, i) = diag;
         b[i] = g_amb_[i] * params_.ambient_k;
-        if (i < num_structures) {
-            if (!std::isfinite(power_w[i]))
+        if (i < blockNodes()) {
+            const double p = power_w[i / num_structures][i % num_structures];
+            const bool finite = std::isfinite(p);
+            if (!finite || p < 0.0)
                 return util::RampError{
-                    util::ErrorCode::NonFiniteValue,
-                    util::cat("non-finite block power ", power_w[i],
-                              " at structure ", i,
-                              " in thermal solve")};
-            if (power_w[i] < 0.0)
-                return util::RampError{
-                    util::ErrorCode::InvalidInput,
-                    util::cat("negative block power ", power_w[i],
-                              " at structure ", i,
-                              " in thermal solve")};
-            b[i] += power_w[i];
+                    finite ? util::ErrorCode::InvalidInput
+                           : util::ErrorCode::NonFiniteValue,
+                    util::cat(finite ? "negative" : "non-finite",
+                              " block power ", p, " at core ",
+                              i / num_structures, " structure ",
+                              i % num_structures, " in thermal solve")};
+            b[i] += p;
         }
     }
     auto t = util::trySolveLinear(std::move(a), std::move(b));
@@ -158,15 +182,15 @@ ThermalModel::trySteadyState(const PerStructure<double> &power_w) const
         return t.error();
 
     SteadyTemps out;
-    for (std::size_t i = 0; i < num_structures; ++i)
-        out.block_k[i] = t.value()[i];
-    out.spreader_k = t.value()[spreader_];
-    out.sink_k = t.value()[sink_];
+    out.block_k = std::move(t.value());
+    out.spreader_k = out.block_k[spreader_];
+    out.sink_k = out.block_k[sink_];
+    out.block_k.resize(blockNodes());
     return out;
 }
 
 SteadyTemps
-ThermalModel::steadyState(const PerStructure<double> &power_w) const
+ThermalModel::steadyState(TileMaps power_w) const
 {
     auto result = trySteadyState(power_w);
     if (!result)
@@ -176,10 +200,10 @@ ThermalModel::steadyState(const PerStructure<double> &power_w) const
 }
 
 void
-ThermalModel::initialiseSteady(const PerStructure<double> &power_w)
+ThermalModel::initialiseSteady(TileMaps power_w)
 {
     const SteadyTemps s = steadyState(power_w);
-    for (std::size_t i = 0; i < num_structures; ++i)
+    for (std::size_t i = 0; i < blockNodes(); ++i)
         state_[i] = s.block_k[i];
     state_[spreader_] = s.spreader_k;
     state_[sink_] = s.sink_k;
@@ -193,13 +217,13 @@ ThermalModel::initialiseFlat(double temp_k)
 
 std::vector<double>
 ThermalModel::derivative(const std::vector<double> &temps,
-                         const PerStructure<double> &p) const
+                         TileMaps power_w) const
 {
     std::vector<double> d(nodes(), 0.0);
     for (std::size_t i = 0; i < nodes(); ++i) {
         double q = 0.0;
-        if (i < num_structures)
-            q += p[i];
+        if (i < blockNodes())
+            q += power_w[i / num_structures][i % num_structures];
         for (std::size_t j = 0; j < nodes(); ++j) {
             const double g = g_.at(i, j);
             if (g > 0.0)
@@ -212,7 +236,7 @@ ThermalModel::derivative(const std::vector<double> &temps,
 }
 
 void
-ThermalModel::step(const PerStructure<double> &power_w, double dt_s)
+ThermalModel::step(TileMaps power_w, double dt_s)
 {
     if (dt_s <= 0.0)
         util::fatal("thermal step needs dt > 0");
@@ -221,6 +245,7 @@ ThermalModel::step(const PerStructure<double> &power_w, double dt_s)
     static const telemetry::Counter substeps =
         telemetry::counter("thermal.transient_substeps");
     steps.add();
+    checkTiles(power_w);
     std::uint64_t subs = 0;
     double remaining = dt_s;
     while (remaining > 0.0) {
@@ -235,11 +260,11 @@ ThermalModel::step(const PerStructure<double> &power_w, double dt_s)
 }
 
 PerStructure<double>
-ThermalModel::blockTemps() const
+ThermalModel::blockTemps(std::size_t tile) const
 {
     PerStructure<double> t{};
     for (std::size_t i = 0; i < num_structures; ++i)
-        t[i] = state_[i];
+        t[i] = state_[tile * num_structures + i];
     return t;
 }
 

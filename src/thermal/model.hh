@@ -2,23 +2,31 @@
  * @file
  * Block-level RC thermal model (the HotSpot stand-in).
  *
- * Nodes: one silicon node per floorplan block, a heat-spreader node,
- * and a heat-sink node; the ambient is a fixed-temperature boundary.
+ * Nodes: one silicon node per floorplan block per core tile
+ * (tile-major order), a heat-spreader node and a heat-sink node
+ * shared by every tile; the ambient is a fixed-temperature boundary.
  * Each block conducts vertically (die + TIM) into the spreader and
- * laterally into adjacent blocks; the spreader conducts into the
- * sink, and the sink convects to ambient. Capacitances give the
- * blocks millisecond time constants and the sink a time constant of
- * minutes -- which is why, exactly as the paper describes in Section
- * 6.3, transient simulations must be initialised with a steady-state
- * heat-sink temperature obtained from a first averaging pass.
+ * laterally into adjacent blocks -- within its tile by tile-local
+ * geometry, and across a shared tile border by chip coordinates, so
+ * a core's temperature depends on its neighbors' power. The spreader
+ * conducts into the sink, and the sink convects to ambient. The
+ * default placement is one tile at the origin: the single-core chip.
+ *
+ * Capacitances give the blocks millisecond time constants and the
+ * sink a time constant of minutes -- which is why, exactly as the
+ * paper describes in Section 6.3, transient simulations must be
+ * initialised with a steady-state heat-sink temperature obtained
+ * from a first averaging pass.
  */
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sim/structures.hh"
 #include "thermal/floorplan.hh"
+#include "util/error.hh"
 #include "util/linalg.hh"
 
 namespace ramp {
@@ -61,48 +69,78 @@ struct ThermalParams
     double area_scale = 1.0;
 };
 
+/** Per-tile block power maps (W), indexed by tile. A single map
+ *  converts implicitly: it is the one tile of a one-tile model. */
+struct TileMaps : std::span<const sim::PerStructure<double>>
+{
+    using span::span;
+    TileMaps(const sim::PerStructure<double> &one) : span(&one, 1) {}
+};
+
 /** Result of a steady-state solve. */
 struct SteadyTemps
 {
-    sim::PerStructure<double> block_k{};
+    /** Block temperatures, tile-major: block i of tile c is
+     *  block_k[c * sim::num_structures + i]. */
+    std::vector<double> block_k;
     double spreader_k = 0.0;
     double sink_k = 0.0;
 
-    /** Hottest block temperature. */
-    double maxBlock() const;
+    /** One tile's block temperatures. */
+    sim::PerStructure<double> tile(std::size_t c = 0) const;
 
-    /** Area-weighted average block temperature. */
-    double avgBlock() const;
+    /** Hottest block temperature on one tile. */
+    double maxBlock(std::size_t c = 0) const { return sim::maxOf(tile(c)); }
+
+    /** Area-weighted average block temperature on one tile. */
+    double avgBlock(std::size_t c = 0) const
+    {
+        return sim::areaWeightedMean(tile(c));
+    }
 };
 
 /** The RC network with steady-state and transient solvers. */
 class ThermalModel
 {
   public:
-    explicit ThermalModel(ThermalParams params = {});
+    /** One tile at the origin (the single-core chip). */
+    explicit ThermalModel(ThermalParams params = {})
+        : ThermalModel({TileOrigin{}}, params)
+    {
+    }
 
     /**
-     * Steady-state temperatures for a fixed per-block power map (W).
-     * Does not modify transient state. Negative or non-finite block
-     * power is an InvalidInput error (a corrupted power sample must
-     * not crash the control loop); a singular conductance system is
-     * propagated as SingularSystem.
+     * One core tile per origin, all sharing the package. The caller
+     * validates the placement (cmp::ChipFloorplan does: no overlap,
+     * connected); tiles that do not abut simply do not conduct
+     * laterally.
+     */
+    ThermalModel(std::vector<TileOrigin> tiles, ThermalParams params);
+
+    /**
+     * Steady-state temperatures for fixed per-tile per-block power
+     * maps (W). Does not modify transient state. @p power_w must
+     * carry one map per tile (panic otherwise -- a caller bug).
+     * Negative or non-finite block power is an InvalidInput /
+     * NonFiniteValue error naming the core and structure (a
+     * corrupted power sample must not crash the control loop); a
+     * singular conductance system is propagated as SingularSystem.
      */
     [[nodiscard]] util::Result<SteadyTemps>
-    trySteadyState(const sim::PerStructure<double> &power_w) const;
+    trySteadyState(TileMaps power_w) const;
 
     /**
      * trySteadyState that treats any failure as unrecoverable (calls
      * fatal). For callers whose power map comes from validated model
      * output rather than a fault-prone measurement path.
      */
-    SteadyTemps steadyState(const sim::PerStructure<double> &power_w) const;
+    SteadyTemps steadyState(TileMaps power_w) const;
 
     /**
      * Initialise the transient state to the steady state of the given
-     * power map (the paper's two-pass heat-sink initialisation).
+     * power maps (the paper's two-pass heat-sink initialisation).
      */
-    void initialiseSteady(const sim::PerStructure<double> &power_w);
+    void initialiseSteady(TileMaps power_w);
 
     /** Set every node (including spreader and sink) to a temperature. */
     void initialiseFlat(double temp_k);
@@ -111,29 +149,32 @@ class ThermalModel
      * Advance the transient state by dt seconds with constant power.
      * Internally sub-steps for stability.
      */
-    void step(const sim::PerStructure<double> &power_w, double dt_s);
+    void step(TileMaps power_w, double dt_s);
 
-    /** Current transient block temperatures. */
-    sim::PerStructure<double> blockTemps() const;
+    /** Current transient block temperatures of one tile. */
+    sim::PerStructure<double> blockTemps(std::size_t tile = 0) const;
 
     /** Current transient sink temperature. */
     double sinkTemp() const { return state_[sink_]; }
 
-    /** Current transient spreader temperature. */
-    double spreaderTemp() const { return state_[spreader_]; }
-
+    std::size_t numTiles() const { return tiles_.size(); }
     const ThermalParams &params() const { return params_; }
-    const Floorplan &floorplan() const { return floorplan_; }
 
   private:
-    std::size_t nodes() const { return sim::num_structures + 2; }
+    std::size_t blockNodes() const
+    {
+        return tiles_.size() * sim::num_structures;
+    }
+    std::size_t nodes() const { return blockNodes() + 2; }
     void buildNetwork();
+    /** Panics unless @p power_w carries one map per tile. */
+    void checkTiles(TileMaps power_w) const;
     std::vector<double> derivative(const std::vector<double> &temps,
-                                   const sim::PerStructure<double> &p)
-        const;
+                                   TileMaps power_w) const;
 
     ThermalParams params_;
-    Floorplan floorplan_;
+    Floorplan floorplan_;         ///< The layout every tile repeats.
+    std::vector<TileOrigin> tiles_;
 
     std::size_t spreader_;  ///< Node index of the spreader.
     std::size_t sink_;      ///< Node index of the sink.

@@ -95,9 +95,9 @@ class RampException : public std::exception
 /**
  * Value-or-error return type for recoverable library failures.
  * Implicitly constructible from either side; accessing the wrong
- * side is a programming bug and panics. [[nodiscard]] so the
- * compiler backs up ramp-lint's result-discipline pass: a dropped
- * Result is a dropped error.
+ * side is a programming bug and panics. [[nodiscard]], so with
+ * -Werror (the strict preset) a dropped Result -- a dropped error --
+ * does not build; tests/tools/nodiscard_check.cmake proves it.
  */
 template <typename T>
 class [[nodiscard]] Result

@@ -40,8 +40,8 @@ namespace ramp {
 namespace util {
 
 /** Per-batch outcome of a parallelFor: which items failed, and how.
- *  [[nodiscard]] so the compiler backs up ramp-lint: dropping a
- *  report silently drops the per-item failures inside it. */
+ *  [[nodiscard]]: dropping a report silently drops the per-item
+ *  failures inside it, so the compiler rejects it (strict -Werror). */
 struct [[nodiscard]] BatchReport
 {
     /** Items submitted (fn invocations attempted). */

@@ -12,6 +12,7 @@
 
 #include "cmp/evaluator.hh"
 #include "drm/oracle.hh"
+#include "util/telemetry.hh"
 #include "util/thread_pool.hh"
 #include "workload/profile.hh"
 
@@ -120,6 +121,67 @@ TEST(ChipEvaluator, BusyNeighborWarmsAnIdleCorePoint)
               slow.cores[0].activity.cycles);
     EXPECT_EQ(fast.cores[0].uopsPerSecond(),
               slow.cores[0].uopsPerSecond());
+}
+
+TEST(ChipEvaluator, TwoCorePointMatchesGolden)
+{
+    // Pinned bit for bit to the values captured before the chip
+    // fixed point and network were merged into the single-core ones.
+    const drm::OracleExplorer explorer(quickParams());
+    const ChipEvaluator chip(ChipFloorplan::grid(2), &explorer);
+    const auto &twolf = workload::findApp("twolf");
+    const auto &gzip = workload::findApp("gzip");
+    std::vector<sim::MachineConfig> cfgs(2, sim::baseMachine());
+    cfgs[1].frequency_ghz = 3.5;
+    cfgs[1].voltage_v = 0.95;
+    const auto r = chip.tryEvaluate({&twolf, &gzip}, cfgs);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+
+    const std::vector<sim::PerStructure<double>> want_k{
+        {0x1.5b30c9a1ebcecp+8, 0x1.589d1c1955e94p+8, 0x1.5ac83d6d03d14p+8,
+         0x1.589a74a167b53p+8, 0x1.5a5384c6719p+8, 0x1.5b09b5adaf204p+8,
+         0x1.5a0684dc8e3a7p+8, 0x1.5805aa60b5db9p+8, 0x1.5b2a31a355c92p+8,
+         0x1.5cac3ac7edea1p+8},
+        {0x1.5a8356267924ap+8, 0x1.57cf0b7198ab6p+8, 0x1.5a661e7329375p+8,
+         0x1.58883f4df5316p+8, 0x1.59bc662659acap+8, 0x1.5a7d880c28becp+8,
+         0x1.5a52e384559e4p+8, 0x1.57811dfca97cp+8, 0x1.5b0c8d77aac1p+8,
+         0x1.5c5475253e53ap+8}};
+    const std::vector<double> want_w{0x1.eba328ad270f8p+3,
+                                     0x1.c9c25b1a19992p+3};
+    for (std::size_t c = 0; c < 2; ++c) {
+        const core::OperatingPoint &op = r.value().cores[c];
+        for (std::size_t i = 0; i < sim::num_structures; ++i)
+            EXPECT_EQ(op.temps_k[i], want_k[c][i]) << c << "/" << i;
+        EXPECT_EQ(op.totalPower(), want_w[c]) << c;
+        EXPECT_EQ(op.sink_temp_k, 0x1.46b37eec5e259p+8);
+    }
+    EXPECT_EQ(r.value().sink_temp_k, 0x1.46b37eec5e259p+8);
+    EXPECT_TRUE(r.value().converged);
+}
+
+TEST(ChipEvaluator, LeakageClampEngagementIsCounted)
+{
+    // Eight busy cores share a single-core package, so the coupled
+    // point runs away past the leakage clamp -- and says so. A fig2
+    // base point stays far below it.
+    const auto clamped = [] {
+        return telemetry::Registry::instance().snapshot().counter(
+            "evaluator.leak_clamped");
+    };
+    const auto &twolf = workload::findApp("twolf");
+    const std::uint64_t before = clamped();
+    ASSERT_TRUE(
+        core::Evaluator().tryEvaluate(sim::baseMachine(), twolf).ok());
+    EXPECT_EQ(clamped(), before);
+
+    const drm::OracleExplorer explorer(quickParams());
+    const ChipEvaluator chip(ChipFloorplan::grid(8), &explorer);
+    const auto r = chip.tryEvaluate(
+        std::vector<const workload::AppProfile *>(8, &twolf),
+        std::vector<sim::MachineConfig>(8, sim::baseMachine()));
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_GT(r.value().maxTemp(), 450.0);
+    EXPECT_EQ(clamped(), before + 1);
 }
 
 TEST(ChipEvaluator, ThroughputSumsCores)

@@ -103,6 +103,43 @@ TEST(Evaluator, ConvergeThermalIsIdempotent)
         EXPECT_NEAR(again.temps_k[i], op.temps_k[i], 0.05);
 }
 
+TEST(Evaluator, ConvergeThermalMatchesGolden)
+{
+    // One fixed twolf activity sample through the fixed point, pinned
+    // bit for bit to the values captured before the single-core and
+    // chip fixed points were merged into tryConvergeLeakage.
+    sim::ActivitySample sample;
+    sample.cycles = 94361;
+    sample.retired = 40001;
+    sample.activity =
+        {0x1.796318e2dee4cp-5, 0x0p+0, 0x1.0bbc47bfd9be5p-5, 0x0p+0,
+         0x1.0886e3be87bddp-5, 0x1.217c833069c8ep-5, 0x1.2e60e43cef039p-4,
+         0x1.2e60e43cef039p-4, 0x1.c6b24268905a4p-4, 0x1.b23ac4c89ead5p-5};
+    const sim::PerStructure<double> want_k =
+        {0x1.49fb36bbd5d8cp+8, 0x1.4780556663adap+8, 0x1.497fc63336aaep+8,
+         0x1.475ea79750d42p+8, 0x1.49313d73d44cap+8, 0x1.4a2cb61795948p+8,
+         0x1.49dd9ea42987ep+8, 0x1.46e1ee7fe0587p+8, 0x1.49dfd34dc266ap+8,
+         0x1.4bf42504b4954p+8};
+
+    const Evaluator e;
+    const auto op = e.convergeThermal(sim::baseMachine(), sample, {});
+    for (std::size_t i = 0; i < sim::num_structures; ++i)
+        EXPECT_EQ(op.temps_k[i], want_k[i]) << i;
+    EXPECT_EQ(op.sink_temp_k, 0x1.389b48ebb87e5p+8);
+    EXPECT_EQ(op.totalPower(), 0x1.c03ae56d19d38p+3);
+    EXPECT_TRUE(op.converged);
+
+    const power::PowerModel pmodel(sim::baseMachine(),
+                                   e.params().power_params);
+    const auto dyn = pmodel.dynamicPower(sample);
+    const auto fp = tryConvergeLeakage(
+        thermal::ThermalModel(e.params().thermal_params), {&pmodel, 1},
+        {&dyn, 1}, e.params());
+    ASSERT_TRUE(fp.ok()) << fp.error().message;
+    EXPECT_EQ(fp.value().iterations, 11u);
+    EXPECT_EQ(fp.value().temps_k[0], op.temps_k);
+}
+
 TEST(Evaluator, PerformanceMetricConsistency)
 {
     const Evaluator e(fastParams());

@@ -181,7 +181,6 @@ TEST(ReplicatorTest, SnapshotResyncThenLiveTailReachThePeer)
     ReplicatorOptions ropts;
     ropts.peers = {server.port()};
     Replicator replicator(source, ropts);
-    // ramp-lint: allow(result-discipline): Replicator::start returns void; name collision
     replicator.start();
     EXPECT_TRUE(waitForRecords(sink.cache(), 2))
         << "snapshot resync never arrived";
@@ -223,7 +222,6 @@ TEST(ReplicatorTest, PeerOutageTriggersResyncOnReconnect)
     ropts.reconnect_min_ms = 20;
     ropts.reconnect_max_ms = 100;
     Replicator replicator(source, ropts);
-    // ramp-lint: allow(result-discipline): Replicator::start returns void; name collision
     replicator.start();
     source.put("b", sampleRecord(0.2));
     std::this_thread::sleep_for(std::chrono::milliseconds(200));

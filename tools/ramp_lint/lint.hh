@@ -10,9 +10,6 @@
  *  - unit consistency: expressions never add/subtract/assign across
  *    different unit suffixes without an explicit conversion marker
  *    (`// ramp-lint: convert(k->c): why`);
- *  - Result discipline: every `Result`/`BatchReport`-returning
- *    function declared in a src/ header is `[[nodiscard]]`, and no
- *    call to such a function anywhere is a bare discarded statement;
  *  - lock discipline: members annotated
  *    `// ramp-lint: guarded_by(mutex_name)` are only touched in
  *    scopes holding a lock_guard/unique_lock/scoped_lock/shared_lock
@@ -39,8 +36,8 @@
  *
  *     // ramp-lint: emits(<kind>, <name>)
  *
- * The token-level passes (unit consistency, Result discipline, lock
- * discipline, wire schema) run over a shared tokenizer that blanks
+ * The token-level passes (unit consistency, lock discipline, wire
+ * schema) run over a shared tokenizer that blanks
  * comments and understands string/char/raw-string literals, so a
  * banned shape inside a literal never fires and every diagnostic
  * carries an exact `file:line`.
@@ -140,6 +137,13 @@ struct Token
  */
 std::vector<Token> tokenize(const SourceFile &src);
 
+/** t[i] exists and is the punctuator @p text. */
+bool isPunct(const std::vector<Token> &t, std::size_t i,
+             const char *text);
+
+/** t[i] exists and is an identifier. */
+bool isIdent(const std::vector<Token> &t, std::size_t i);
+
 // ---------------------------------------------------------------
 // Suppressions
 // ---------------------------------------------------------------
@@ -194,9 +198,8 @@ Manifest loadManifest(const std::filesystem::path &path,
 
 /**
  * Everything one file contributes: its own diagnostics (emitted in
- * path order), metric references, the names of Result-returning
- * functions it declares (feeding the cross-TU discarded-call check),
- * and the token stream kept for the cross-file passes.
+ * path order), metric references, and the token stream kept for the
+ * cross-file passes.
  */
 struct FileScan
 {
@@ -205,8 +208,6 @@ struct FileScan
     Suppressions sup;
     std::vector<Diagnostic> diags;
     std::vector<MetricRef> refs;
-    /** Functions declared here returning Result/BatchReport. */
-    std::vector<std::string> result_fns;
 };
 
 /**
@@ -237,21 +238,11 @@ std::string unitSuffixOf(const std::string &name);
  *  `convert(a->b)` marker validation). */
 void checkUnits(FileScan &scan);
 
-/** Pass 2a: collect Result/BatchReport-returning function names;
- *  in src/ headers also require `[[nodiscard]]` on each. */
-void collectResultFns(FileScan &scan, bool enforce_nodiscard);
-
-/** Pass 2b: flag statement-position calls (cross-TU, name-based)
- *  whose callee returns Result/BatchReport. */
-void checkDiscarded(const FileScan &scan,
-                    const std::set<std::string> &result_fns,
-                    std::vector<Diagnostic> &out);
-
-/** Pass 3: guarded_by(mutex) members used without a lock in any
+/** Pass 2: guarded_by(mutex) members used without a lock in any
  *  enclosing scope. */
 void checkLockDiscipline(FileScan &scan);
 
-/** Pass 4: protocol.cc field table vs DESIGN.md table, README verb
+/** Pass 3: protocol.cc field table vs DESIGN.md table, README verb
  *  mentions, and tests/serve coverage. Runs only when the scanned
  *  set contains src/serve/protocol.cc. */
 void checkWireSchema(const std::filesystem::path &root,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Pass 3: lock discipline. Members annotated
+ * Pass 2: lock discipline. Members annotated
  *
  *     std::deque<Job> queue_; // ramp-lint: guarded_by(queue_mu_)
  *
@@ -30,20 +30,6 @@ namespace ramp_lint {
 
 namespace {
 
-bool
-isPunct(const std::vector<Token> &t, std::size_t i,
-        const char *text)
-{
-    return i < t.size() && t[i].kind == Token::Kind::Punct &&
-           t[i].text == text;
-}
-
-bool
-isIdent(const std::vector<Token> &t, std::size_t i)
-{
-    return i < t.size() && t[i].kind == Token::Kind::Ident;
-}
-
 struct Annotation
 {
     std::string member;
@@ -54,7 +40,7 @@ struct Annotation
 const std::set<std::string> guard_types = {
     "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
 
-/** Same angle-skipper as the Result pass (`>>` closes two). */
+/** Skip a template argument list (`>>` closes two). */
 std::size_t
 skipAngles(const std::vector<Token> &t, std::size_t i)
 {

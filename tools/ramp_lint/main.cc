@@ -161,15 +161,9 @@ main(int argc, char **argv)
     if (!no_manifest)
         ctx.manifest = loadManifest(manifest_path, ctx.diags);
 
-    std::set<std::string> result_fns;
-    for (const auto &scan : scans)
-        result_fns.insert(scan.result_fns.begin(),
-                          scan.result_fns.end());
-
     for (auto &scan : scans) {
         ctx.diags.insert(ctx.diags.end(), scan.diags.begin(),
                          scan.diags.end());
-        checkDiscarded(scan, result_fns, ctx.diags);
         ctx.refs.insert(ctx.refs.end(), scan.refs.begin(),
                         scan.refs.end());
     }

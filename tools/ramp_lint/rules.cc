@@ -9,9 +9,9 @@
  * source.cc, so tokens inside comments or string literals never
  * trigger, and metric names are read only from recognised telemetry
  * call sites (plus `emits` markers for names that reach the registry
- * through a helper function). The token-level passes (units, Result
- * discipline, locks, wire schema) live in their own files and are
- * driven from scanFile() below.
+ * through a helper function). The token-level passes (units, locks,
+ * wire schema) live in their own files and are driven from
+ * scanFile() below.
  */
 
 #include "lint.hh"
@@ -31,8 +31,7 @@ knownRules()
         "raw-delete",       "endl",
         "mutex-guard",      "pragma-once",
         "include-path",     "unit-consistency",
-        "result-discipline", "lock-discipline",
-        "wire-schema",
+        "lock-discipline",  "wire-schema",
     };
     return rules;
 }
@@ -476,11 +475,6 @@ scanFile(const std::filesystem::path &path,
 
     runLineRules(scan, root);
     checkUnits(scan);
-
-    const std::string p = path.generic_string();
-    const bool src_header =
-        scan.src.isHeader() && p.find("src/") != std::string::npos;
-    collectResultFns(scan, src_header);
     checkLockDiscipline(scan);
     return scan;
 }

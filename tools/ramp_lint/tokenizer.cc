@@ -160,4 +160,17 @@ tokenize(const SourceFile &src)
     return toks;
 }
 
+bool
+isPunct(const std::vector<Token> &t, std::size_t i, const char *text)
+{
+    return i < t.size() && t[i].kind == Token::Kind::Punct &&
+           t[i].text == text;
+}
+
+bool
+isIdent(const std::vector<Token> &t, std::size_t i)
+{
+    return i < t.size() && t[i].kind == Token::Kind::Ident;
+}
+
 } // namespace ramp_lint

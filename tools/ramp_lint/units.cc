@@ -99,20 +99,6 @@ parseConversions(const FileScan &scan,
     return conv;
 }
 
-bool
-isIdent(const std::vector<Token> &t, std::size_t i)
-{
-    return i < t.size() && t[i].kind == Token::Kind::Ident;
-}
-
-bool
-isPunct(const std::vector<Token> &t, std::size_t i,
-        const char *text)
-{
-    return i < t.size() && t[i].kind == Token::Kind::Punct &&
-           t[i].text == text;
-}
-
 /**
  * Resolve the identifier a value expression starting at @p i ends
  * in, following member/namespace chains (`obj.temp_k`,

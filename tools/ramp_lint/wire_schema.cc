@@ -1,6 +1,6 @@
 /**
  * @file
- * Pass 4: wire-schema drift. src/serve/protocol.cc declares the
+ * Pass 3: wire-schema drift. src/serve/protocol.cc declares the
  * whole serve protocol in one place -- the `type_names[]` verb
  * list, the per-verb `FieldRule` arrays (field name, required,
  * arrival version) and the `type_rules[]` table binding them. This
@@ -48,14 +48,6 @@ struct VerbInfo
     std::size_t line = 0;
     std::vector<FieldInfo> fields;
 };
-
-bool
-isPunct(const std::vector<Token> &t, std::size_t i,
-        const char *text)
-{
-    return i < t.size() && t[i].kind == Token::Kind::Punct &&
-           t[i].text == text;
-}
 
 bool
 isIdentText(const std::vector<Token> &t, std::size_t i,
