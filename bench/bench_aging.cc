@@ -341,7 +341,7 @@ main(int argc, char **argv)
                  util::JsonValue::makeBool(boost_holds));
     artifact.set("budget_holds",
                  util::JsonValue::makeBool(budget_holds));
-    bench::writeBenchArtifact(
+    const bool artifact_ok = bench::writeBenchArtifact(
         bench::benchJsonPath(opts, "BENCH_aging.json"), artifact);
 
     if (!opts.aging_state_path.empty() && reference_state) {
@@ -361,5 +361,5 @@ main(int argc, char **argv)
     std::printf("final consumed lifetime <= 1.0 in all scenarios: "
                 "%s\n",
                 budget_holds ? "yes" : "DEVIATION");
-    return boost_holds && budget_holds ? 0 : 1;
+    return boost_holds && budget_holds && artifact_ok ? 0 : 1;
 }

@@ -45,6 +45,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -58,6 +59,7 @@
 #include "route/router.hh"
 #include "serve/client.hh"
 #include "serve/service.hh"
+#include "util/flags.hh"
 #include "util/random.hh"
 
 #ifndef RAMP_SERVED_BIN
@@ -96,16 +98,15 @@ parseClusterFlags(int &argc, char **argv)
         }
         if (i + 1 >= argc)
             util::fatal(util::cat(arg, " needs a value"));
-        char *end = nullptr;
         const std::string value = argv[++i];
         if (dest) {
-            const unsigned long long n =
-                std::strtoull(value.c_str(), &end, 10);
-            if (*end != '\0' || n < 1)
-                util::fatal(util::cat(
-                    arg, " needs a positive integer"));
-            *dest = static_cast<std::size_t>(n);
+            const auto n = util::parseFlagInt(
+                arg, value, 1, std::numeric_limits<std::size_t>::max());
+            if (!n)
+                util::fatal(n.error().message);
+            *dest = static_cast<std::size_t>(n.value());
         } else {
+            char *end = nullptr;
             opts.kill_at = std::strtod(value.c_str(), &end);
             if (*end != '\0' || opts.kill_at < 0.0 ||
                 opts.kill_at >= 1.0)
@@ -786,8 +787,9 @@ main(int argc, char **argv)
               "route.probes", "route.probe_failures"})
             doc.set(name, num(static_cast<double>(
                             snap.counter(name))));
-        bench::writeBenchArtifact(
-            bench::benchJsonPath(opts, "BENCH_cluster.json"), doc);
+        if (!bench::writeBenchArtifact(
+                bench::benchJsonPath(opts, "BENCH_cluster.json"), doc))
+            failed = true;
     }
 
     // --- Teardown -------------------------------------------------

@@ -408,7 +408,7 @@ main(int argc, char **argv)
                  util::JsonValue::makeBool(budget_respected));
     artifact.set("wear_narrows",
                  util::JsonValue::makeBool(wear_narrows));
-    bench::writeBenchArtifact(
+    const bool artifact_ok = bench::writeBenchArtifact(
         bench::benchJsonPath(opts, "BENCH_cmp.json"), artifact);
 
     std::printf("global budgeting never below per-core at equal "
@@ -419,6 +419,8 @@ main(int argc, char **argv)
     std::printf("wear leveling narrows the consumed-lifetime "
                 "spread: %s\n",
                 wear_narrows ? "yes" : "DEVIATION");
+    if (!artifact_ok)
+        return 1;
     return global_dominates && budget_respected && wear_narrows ? 0
                                                                 : 1;
 }

@@ -14,16 +14,8 @@
  *  - T_qual = 325 K: drastic under-design; high-IPC multimedia apps
  *    slow the most (paper: up to 26% for MP3dec) while the coolest
  *    apps (art, ammp) still hold ~1.0.
- *
- * With --surrogate rank|auto the selections run through the tiered
- * explorer (drm/surrogate/tiered.hh) instead of exhaustive
- * exploration; the winners are identical, only the exact-simulation
- * count changes. Either way the run emits a BENCH_fig2.json
- * perf-trajectory artifact (exact sims per selection, wall time,
- * throughput) for cross-PR comparison.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -38,27 +30,14 @@ main(int argc, char **argv)
     const auto opts = bench::Options::parse(argc, argv);
     bench::Suite suite(opts);
 
-    const bool tiered =
-        opts.surrogate != drm::surrogate::SurrogateMode::Off;
-    drm::surrogate::TieredOptions topts;
-    topts.mode = opts.surrogate;
-    drm::surrogate::TieredExplorer tiered_explorer(suite.explorer,
-                                                   &suite.cache,
-                                                   topts);
-
     const double t_quals[] = {400.0, 370.0, 345.0, 325.0};
     const auto space = drm::AdaptationSpace::ArchDvs;
-    const std::size_t space_points = drm::configSpace(space).size();
 
     util::Table t({"app", "base FIT@370", "perf@400K", "perf@370K",
                    "perf@345K", "perf@325K"});
     t.setTitle("Figure 2: ArchDVS DRM performance vs base, by T_qual");
 
     std::map<std::string, std::map<double, double>> perf;
-    std::size_t selections = 0;
-    std::size_t exact_evals = 0;
-    std::size_t fallbacks = 0;
-    const auto start = std::chrono::steady_clock::now();
 
     for (std::size_t a = 0; a < suite.apps.size(); ++a) {
         const auto &app = suite.apps[a];
@@ -67,43 +46,18 @@ main(int argc, char **argv)
         row.push_back(util::Table::num(
             drm::operatingPointFit(qual370, suite.base_ops[a]), 0));
 
-        if (tiered) {
-            std::size_t app_evals = 0;
-            for (double tq : t_quals) {
-                const auto ts = tiered_explorer.selectDrm(
-                    app, space, suite.qualification(tq));
-                perf[app.name][tq] = ts.selection.perf_rel;
-                row.push_back(
-                    util::Table::num(ts.selection.perf_rel, 3) +
-                    (ts.selection.feasible ? "" : "*"));
-                ++selections;
-                exact_evals += ts.exact_evals;
-                app_evals += ts.exact_evals;
-                fallbacks += ts.used_surrogate ? 0 : 1;
-            }
-            std::fprintf(stderr,
-                         "  tiered %s (%zu of %zu configs exact)\n",
-                         app.name.c_str(), app_evals, space_points);
-        } else {
-            const auto explored = suite.explorer.explore(app, space);
-            for (double tq : t_quals) {
-                const auto sel =
-                    drm::selectDrm(explored, suite.qualification(tq));
-                perf[app.name][tq] = sel.perf_rel;
-                row.push_back(util::Table::num(sel.perf_rel, 3) +
-                              (sel.feasible ? "" : "*"));
-                ++selections;
-            }
-            exact_evals += explored.points.size();
-            std::fprintf(stderr, "  explored %s (%zu configs)\n",
-                         app.name.c_str(), explored.points.size());
+        const auto explored = suite.explorer.explore(app, space);
+        for (double tq : t_quals) {
+            const auto sel =
+                drm::selectDrm(explored, suite.qualification(tq));
+            perf[app.name][tq] = sel.perf_rel;
+            row.push_back(util::Table::num(sel.perf_rel, 3) +
+                          (sel.feasible ? "" : "*"));
         }
+        std::fprintf(stderr, "  explored %s (%zu configs)\n",
+                     app.name.c_str(), explored.points.size());
         t.addRow(std::move(row));
     }
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
 
     t.print(std::cout);
     std::cout << "(* = no configuration met the FIT target; "
@@ -139,44 +93,5 @@ main(int argc, char **argv)
 
     std::printf("\nFigure 2 shape: %d/%d checks hold\n", passed,
                 checks);
-
-    // Perf-trajectory artifact: the numbers later PRs are judged
-    // against. Selections here share one exploration per app, so
-    // "per selection" amortizes exploration across the T_qual sweep.
-    auto doc = util::JsonValue::makeObject();
-    doc.set("bench", util::JsonValue::makeString("fig2_archdvs"));
-    doc.set("space",
-            util::JsonValue::makeString(
-                drm::adaptationSpaceName(space)));
-    doc.set("surrogate",
-            util::JsonValue::makeString(
-                drm::surrogate::surrogateModeName(opts.surrogate)));
-    doc.set("apps", util::JsonValue::makeNumber(
-                        static_cast<double>(suite.apps.size())));
-    doc.set("space_points", util::JsonValue::makeNumber(
-                                static_cast<double>(space_points)));
-    doc.set("selections", util::JsonValue::makeNumber(
-                              static_cast<double>(selections)));
-    doc.set("exact_sims_total", util::JsonValue::makeNumber(
-                                    static_cast<double>(exact_evals)));
-    doc.set("exact_sims_per_selection",
-            util::JsonValue::makeNumber(
-                selections ? static_cast<double>(exact_evals) /
-                                 static_cast<double>(selections)
-                           : 0.0));
-    doc.set("surrogate_fallbacks",
-            util::JsonValue::makeNumber(
-                static_cast<double>(fallbacks)));
-    doc.set("wall_s", util::JsonValue::makeNumber(wall_s));
-    doc.set("selections_per_s",
-            util::JsonValue::makeNumber(
-                wall_s > 0.0 ? static_cast<double>(selections) / wall_s
-                             : 0.0));
-    doc.set("shape_checks_passed",
-            util::JsonValue::makeNumber(static_cast<double>(passed)));
-    doc.set("shape_checks", util::JsonValue::makeNumber(
-                                static_cast<double>(checks)));
-    bench::writeBenchArtifact(
-        bench::benchJsonPath(opts, "BENCH_fig2.json"), doc);
     return 0;
 }

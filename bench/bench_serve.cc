@@ -1,12 +1,13 @@
 /**
  * @file
- * Load generator for the serving layer (ISSUE: src/serve).
+ * Correctness smoke for the serving layer.
  *
- * Spawns an in-process Server over one EvaluationService, drives N
+ * Spawns an in-process Server over one EvaluationService and drives N
  * concurrent client connections through a deterministic mixed request
  * distribution (evaluate / select_drm / select_dtm / stats; see
- * serve_mix.hh -- `--seed` picks the stream), and
- * reports throughput and latency percentiles.
+ * serve_mix.hh -- `--seed` picks the stream). Serving latency and
+ * throughput are measured by rampbench's serve_direct workload, not
+ * here.
  *
  * Correctness is checked, not assumed:
  *
@@ -19,6 +20,8 @@
  *    under a fault plan that severs connections -- a torn stream,
  *    after which the worker reconnects. With no fault plan, any
  *    transport error fails the run.
+ *  - One v2 round trip (hello -> report_usage -> remaining_lifetime)
+ *    must succeed on a clean run.
  *
  * Extra flags beyond the shared bench set: --connections N,
  * --requests N (per connection), --queue-depth N, --batch-max N,
@@ -27,10 +30,8 @@
  * cache/seed configuration on both sides).
  */
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -41,8 +42,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve_mix.hh"
-#include "util/stats.hh"
-#include "util/telemetry.hh"
+#include "util/flags.hh"
 
 namespace {
 
@@ -80,16 +80,16 @@ parseServeFlags(int &argc, char **argv)
         }
         if (i + 1 >= argc)
             util::fatal(util::cat(arg, " needs a value"));
-        char *end = nullptr;
-        const unsigned long long n =
-            std::strtoull(argv[++i], &end, 10);
-        if (*end != '\0' || n < 1)
-            util::fatal(util::cat(arg,
-                                  " needs a positive integer"));
+        const auto n = util::parseFlagInt(
+            arg, argv[++i], 1,
+            dest ? std::numeric_limits<std::size_t>::max()
+                 : util::max_port);
+        if (!n)
+            util::fatal(n.error().message);
         if (dest)
-            *dest = static_cast<std::size_t>(n);
+            *dest = static_cast<std::size_t>(n.value());
         else
-            opts.port = static_cast<std::uint16_t>(n);
+            opts.port = static_cast<std::uint16_t>(n.value());
     }
     argc = out;
     argv[out] = nullptr;
@@ -104,7 +104,6 @@ struct WorkerTally
     std::uint64_t reconnects = 0;
     std::uint64_t mismatches = 0;
     std::uint64_t transport_failures = 0; ///< Clean-run errors.
-    std::vector<double> latencies_s;
 };
 
 } // namespace
@@ -145,16 +144,13 @@ main(int argc, char **argv)
     // Expected answers, computed through the same service the server
     // uses -- i.e. the same selectDrm/tryEvaluate calls and the same
     // encoder -- sequentially, before any load exists. This both
-    // checks byte-identity and warms the cache and memos. Select
-    // answers are always precomputed with the surrogate *off*, so a
-    // `--surrogate rank|auto` run byte-compares every served tiered
-    // selection against the exhaustive oracle end to end.
+    // checks byte-identity and warms the cache and memos.
     service.ensureReady();
     std::map<std::string, std::string> expected;
     for (std::size_t w = 0; w < serve_opts.connections; ++w) {
         for (std::size_t s = 0; s < serve_opts.requests; ++s) {
             serve::Request req = bench::mixedRequest(
-                opts.seed, w, s, service.apps(), opts.surrogate);
+                opts.seed, w, s, service.apps());
             if (req.type == serve::RequestType::Stats)
                 continue; // Stats answers are time-varying.
             const std::string key = bench::requestKey(req);
@@ -171,10 +167,7 @@ main(int argc, char **argv)
                             : util::Result<util::JsonValue>(
                                   op.error());
             } else {
-                serve::Request exhaustive = req;
-                exhaustive.surrogate =
-                    drm::surrogate::SurrogateMode::Off;
-                direct = service.select(exhaustive);
+                direct = service.select(req);
             }
             if (!direct)
                 util::fatal(util::cat("bench_serve: direct ", key,
@@ -190,7 +183,6 @@ main(int argc, char **argv)
 
     std::vector<WorkerTally> tallies(serve_opts.connections);
     std::vector<std::thread> workers;
-    const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t w = 0; w < serve_opts.connections; ++w) {
         workers.emplace_back([&, w] {
             WorkerTally &tally = tallies[w];
@@ -207,10 +199,8 @@ main(int argc, char **argv)
                     }
                 }
                 serve::Request req = bench::mixedRequest(
-                    opts.seed, w, s, service.apps(), opts.surrogate);
+                    opts.seed, w, s, service.apps());
                 const std::string key = bench::requestKey(req);
-                const auto req_t0 =
-                    std::chrono::steady_clock::now();
                 auto reply = client.value().call(req);
                 if (!reply) {
                     // Torn stream: expected under a conn-drop
@@ -223,10 +213,6 @@ main(int argc, char **argv)
                         util::ErrorCode::IoFailure, "reconnect"};
                     continue;
                 }
-                tally.latencies_s.push_back(
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - req_t0)
-                        .count());
                 if (!reply.value().ok) {
                     const std::string &code =
                         reply.value().error_code;
@@ -266,9 +252,6 @@ main(int argc, char **argv)
     }
     for (auto &worker : workers)
         worker.join();
-    const double wall_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
 
     WorkerTally total;
     for (const auto &tally : tallies) {
@@ -278,83 +261,22 @@ main(int argc, char **argv)
         total.reconnects += tally.reconnects;
         total.mismatches += tally.mismatches;
         total.transport_failures += tally.transport_failures;
-        total.latencies_s.insert(total.latencies_s.end(),
-                                 tally.latencies_s.begin(),
-                                 tally.latencies_s.end());
     }
-    std::sort(total.latencies_s.begin(), total.latencies_s.end());
-    const auto pct = [&](double p) {
-        if (total.latencies_s.empty())
-            return 0.0;
-        return util::percentile(total.latencies_s, p) * 1e3;
-    };
 
     const std::uint64_t issued =
         static_cast<std::uint64_t>(serve_opts.connections) *
         serve_opts.requests;
     const std::uint64_t answered =
         total.ok + total.rejected + total.torn;
-    std::printf("bench_serve: %llu/%llu answered in %.2f s "
-                "(%.1f req/s)\n",
+    std::printf("bench_serve: %llu/%llu answered\n",
                 static_cast<unsigned long long>(answered),
-                static_cast<unsigned long long>(issued), wall_s,
-                wall_s > 0.0
-                    ? static_cast<double>(answered) / wall_s
-                    : 0.0);
+                static_cast<unsigned long long>(issued));
     std::printf("  ok %llu, rejected %llu, torn %llu "
                 "(reconnects %llu)\n",
                 static_cast<unsigned long long>(total.ok),
                 static_cast<unsigned long long>(total.rejected),
                 static_cast<unsigned long long>(total.torn),
                 static_cast<unsigned long long>(total.reconnects));
-    std::printf("  latency ms: p50 %.2f  p90 %.2f  p99 %.2f\n",
-                pct(0.50), pct(0.90), pct(0.99));
-
-    // Perf-trajectory artifact: enough to see, commit over commit,
-    // whether serving throughput or the surrogate's exact-simulation
-    // savings regressed.
-    {
-        const auto snap =
-            telemetry::Registry::instance().snapshot();
-        util::JsonValue doc = util::JsonValue::makeObject();
-        doc.set("bench", util::JsonValue::makeString("bench_serve"));
-        doc.set("surrogate",
-                util::JsonValue::makeString(
-                    drm::surrogate::surrogateModeName(
-                        opts.surrogate)));
-        doc.set("connections",
-                util::JsonValue::makeNumber(static_cast<double>(
-                    serve_opts.connections)));
-        doc.set("requests_per_connection",
-                util::JsonValue::makeNumber(static_cast<double>(
-                    serve_opts.requests)));
-        doc.set("issued", util::JsonValue::makeNumber(
-                              static_cast<double>(issued)));
-        doc.set("answered", util::JsonValue::makeNumber(
-                                static_cast<double>(answered)));
-        doc.set("ok", util::JsonValue::makeNumber(
-                          static_cast<double>(total.ok)));
-        doc.set("rejected", util::JsonValue::makeNumber(
-                                static_cast<double>(total.rejected)));
-        doc.set("wall_s", util::JsonValue::makeNumber(wall_s));
-        doc.set("req_per_s",
-                util::JsonValue::makeNumber(
-                    wall_s > 0.0
-                        ? static_cast<double>(answered) / wall_s
-                        : 0.0));
-        doc.set("p50_ms", util::JsonValue::makeNumber(pct(0.50)));
-        doc.set("p90_ms", util::JsonValue::makeNumber(pct(0.90)));
-        doc.set("p99_ms", util::JsonValue::makeNumber(pct(0.99)));
-        for (const char *name :
-             {"surrogate.selections", "surrogate.exact_confirms",
-              "surrogate.train_evals", "surrogate.exact_sims_saved",
-              "surrogate.fallbacks"})
-            doc.set(name, util::JsonValue::makeNumber(
-                              static_cast<double>(
-                                  snap.counter(name))));
-        bench::writeBenchArtifact(
-            bench::benchJsonPath(opts, "BENCH_serve.json"), doc);
-    }
 
     bool failed = false;
     if (total.mismatches != 0) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "drm/adaptation.hh"
-#include "drm/surrogate/mode.hh"
 #include "serve/protocol.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -24,13 +23,12 @@ namespace bench {
 
 /** One request of the mixed distribution, deterministic in (@p seed,
  *  @p worker, @p seq), so every run at one seed exercises the same
- *  stream. Seed 1 is the stream BENCH_serve.json was measured on; each
- *  other seed draws its own. Select requests carry @p surrogate, so a
- *  tiered run serves the same stream through the fast path. */
+ *  stream. Seed 1 is the reference stream
+ *  (ServeMix.SeedOneIsTheReferenceStream pins it); each other seed
+ *  draws its own. */
 inline serve::Request
 mixedRequest(std::uint64_t seed, std::size_t worker, std::size_t seq,
-             const std::vector<workload::AppProfile> &apps,
-             drm::surrogate::SurrogateMode surrogate)
+             const std::vector<workload::AppProfile> &apps)
 {
     util::Rng rng(0x62656e63685f7376ull ^ (worker * 0x9e3779b9ull) ^
                   seq ^ ((seed - 1) * 0xbf58476d1ce4e5b9ull));
@@ -44,17 +42,13 @@ mixedRequest(std::uint64_t seed, std::size_t worker, std::size_t seq,
             rng.below(drm::configSpace(req.space).size());
     } else if (roll < 0.85) {
         req.type = serve::RequestType::SelectDrm;
-        // Half the selections sweep the full ArchDVS space: large
-        // enough to train the surrogate, so a tiered run actually
-        // serves ranked selections instead of falling back.
+        // Half the selections sweep the full ArchDVS space.
         if (rng.uniform() < 0.5)
             req.space = drm::AdaptationSpace::ArchDvs;
-        req.surrogate = surrogate;
     } else if (roll < 0.95) {
         req.type = serve::RequestType::SelectDtm;
         if (rng.uniform() < 0.5)
             req.space = drm::AdaptationSpace::ArchDvs;
-        req.surrogate = surrogate;
     } else {
         req.type = serve::RequestType::Stats;
     }

@@ -13,9 +13,8 @@
  * paper's Figure-2 trade -- and therefore runs above the
  * steady-state-safe point; as damage catches up with (or overtakes)
  * the budget, the effective T_qual falls below the base value and
- * the same selectDrm/selectDtm calls throttle it. Oracle and
- * surrogate selection paths both work unchanged, since each already
- * accepts an arbitrary Qualification.
+ * the same selectDrm/selectDtm calls throttle it. Selection works
+ * unchanged, since it already accepts an arbitrary Qualification.
  */
 
 #pragma once

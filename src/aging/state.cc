@@ -223,26 +223,7 @@ agingStateFromJson(const JsonValue &doc)
 Result<void>
 saveAgingState(const std::string &path, const AgingState &state)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return RampError{
-                ErrorCode::IoFailure,
-                util::cat("cannot open '", tmp, "' for writing")};
-        util::writeJson(os, toJson(state));
-        os << '\n';
-        os.flush();
-        if (!os)
-            return RampError{ErrorCode::IoFailure,
-                             util::cat("write to '", tmp,
-                                       "' failed")};
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        return RampError{ErrorCode::IoFailure,
-                         util::cat("cannot rename '", tmp, "' to '",
-                                   path, "'")};
-    return {};
+    return util::saveJson(path, toJson(state));
 }
 
 Result<AgingState>

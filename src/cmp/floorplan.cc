@@ -11,8 +11,6 @@
 namespace ramp {
 namespace cmp {
 
-using sim::StructureId;
-
 namespace {
 
 constexpr double eps_mm = 1e-9;
@@ -200,42 +198,6 @@ ChipFloorplan::origins() const
     for (const CoreTile &tile : tiles_)
         out.push_back({tile.x_mm, tile.y_mm});
     return out;
-}
-
-thermal::Block
-ChipFloorplan::chipBlock(std::size_t core, StructureId id) const
-{
-    return tiles_[core].place(core_.block(id));
-}
-
-double
-ChipFloorplan::sharedBorder(std::size_t core_a, StructureId a,
-                            std::size_t core_b,
-                            StructureId b) const
-{
-    if (core_a == core_b)
-        return core_.sharedBorder(a, b);
-    return thermal::sharedBorder(chipBlock(core_a, a),
-                                 chipBlock(core_b, b));
-}
-
-double
-ChipFloorplan::centerDistance(std::size_t core_a, StructureId a,
-                              std::size_t core_b,
-                              StructureId b) const
-{
-    return thermal::centerDistance(chipBlock(core_a, a),
-                                   chipBlock(core_b, b));
-}
-
-bool
-ChipFloorplan::tilesAdjacent(std::size_t core_a,
-                             std::size_t core_b) const
-{
-    return core_a != core_b &&
-           thermal::sharedBorder(tiles_[core_a].footprint(tileSize()),
-                                 tiles_[core_b].footprint(tileSize())) >
-               eps_mm;
 }
 
 } // namespace cmp

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/structures.hh"
 #include "thermal/floorplan.hh"
 #include "util/error.hh"
 #include "util/json.hh"
@@ -79,25 +78,6 @@ class ChipFloorplan
 
     /** Tile origins in core order (the thermal network placement). */
     std::vector<thermal::TileOrigin> origins() const;
-
-    /** A structure's block in chip coordinates. */
-    thermal::Block chipBlock(std::size_t core,
-                             sim::StructureId id) const;
-
-    /**
-     * Length (mm) of the border shared by two structure blocks,
-     * possibly on different cores; 0 when not adjacent. Symmetric.
-     */
-    double sharedBorder(std::size_t core_a, sim::StructureId a,
-                        std::size_t core_b, sim::StructureId b) const;
-
-    /** Distance between two blocks' centers in chip coordinates. */
-    double centerDistance(std::size_t core_a, sim::StructureId a,
-                          std::size_t core_b,
-                          sim::StructureId b) const;
-
-    /** Tiles sharing a border of positive length. */
-    bool tilesAdjacent(std::size_t core_a, std::size_t core_b) const;
 
   private:
     explicit ChipFloorplan(std::vector<CoreTile> tiles);

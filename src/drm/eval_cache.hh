@@ -116,8 +116,8 @@ class EvaluationCache
     /** Look up a record; nullopt on miss. Thread-safe. */
     std::optional<CachedEvaluation> get(const std::string &key) const;
 
-    /** Whether a record exists, without counting a hit or miss (the
-     *  surrogate layer probes history without using it). */
+    /** Whether a record exists, without counting a hit or miss (a
+     *  replicated append probes for a record it did not apply). */
     bool contains(const std::string &key) const;
 
     /** Insert (or overwrite) a record and append it to the file.

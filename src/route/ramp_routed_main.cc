@@ -15,12 +15,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault/fault.hh"
 #include "route/router.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -68,42 +70,6 @@ badFlag(const char *prog, const std::string &why)
     ramp::util::fatal(why);
 }
 
-std::uint64_t
-parseCount(const char *prog, const std::string &flag,
-           const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long n =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0')
-        badFlag(prog, ramp::util::cat(flag,
-                                      " needs an integer, got '",
-                                      value, "'"));
-    return n;
-}
-
-std::vector<std::uint16_t>
-parsePorts(const char *prog, const std::string &flag,
-           const std::string &value)
-{
-    std::vector<std::uint16_t> ports;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        const std::string item = value.substr(start, comma - start);
-        if (item.empty())
-            badFlag(prog, ramp::util::cat(flag,
-                                          " has an empty entry in '",
-                                          value, "'"));
-        ports.push_back(static_cast<std::uint16_t>(
-            parseCount(prog, flag, item)));
-        start = comma + 1;
-    }
-    return ports;
-}
-
 } // namespace
 
 int
@@ -127,37 +93,41 @@ main(int argc, char **argv)
         if (i + 1 >= argc)
             badFlag(prog, util::cat(arg, " needs a value"));
         const std::string value = argv[++i];
-        if (arg == "--backends")
-            opts.backends = parsePorts(prog, arg, value);
-        else if (arg == "--port")
-            opts.port = static_cast<std::uint16_t>(
-                parseCount(prog, arg, value));
+        // An integer flag value that fits @p dest; else fatal.
+        const auto count = [&]<typename T>(T &dest) {
+            auto n = util::parseFlagInt(
+                arg, value, 0, std::numeric_limits<T>::max());
+            if (!n)
+                badFlag(prog, n.error().message);
+            dest = static_cast<T>(n.value());
+        };
+        if (arg == "--backends") {
+            auto list = util::parsePortList(arg, value);
+            if (!list)
+                badFlag(prog, list.error().message);
+            opts.backends = list.value();
+        } else if (arg == "--port")
+            count(opts.port);
         else if (arg == "--port-file")
             port_file = value;
         else if (arg == "--probe-interval-ms")
-            opts.probe_interval_ms = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(opts.probe_interval_ms);
         else if (arg == "--fail-threshold")
-            opts.fail_threshold = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(opts.fail_threshold);
         else if (arg == "--retries")
-            opts.retry.retries = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(opts.retry.retries);
         else if (arg == "--backoff-ms")
-            opts.retry.backoff_ms = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(opts.retry.backoff_ms);
         else if (arg == "--idle-timeout-ms")
-            opts.idle_timeout_ms = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(opts.idle_timeout_ms);
         else if (arg == "--io-timeout-ms")
-            opts.io_timeout_ms = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(opts.io_timeout_ms);
         else if (arg == "--metrics")
             metrics_path = value;
         else if (arg == "--fault-plan")
             fault_plan = value;
         else if (arg == "--fault-seed")
-            fault_seed = parseCount(prog, arg, value);
+            count(fault_seed);
         else
             badFlag(prog,
                     util::cat("unknown argument '", arg,

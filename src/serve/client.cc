@@ -283,8 +283,7 @@ Result<JsonValue>
 Session::remainingLifetime(const std::string &chip,
                            const std::string &app,
                            drm::AdaptationSpace space,
-                           double t_qual_k,
-                           drm::surrogate::SurrogateMode surrogate)
+                           double t_qual_k)
 {
     if (auto ok = needVersion(2, "remaining_lifetime"); !ok)
         return ok.error();
@@ -294,7 +293,6 @@ Session::remainingLifetime(const std::string &chip,
     req.app = app;
     req.space = space;
     req.t_qual_k = t_qual_k;
-    req.surrogate = surrogate;
     return callUnwrap(std::move(req));
 }
 

@@ -174,9 +174,7 @@ class Session
      */
     [[nodiscard]] util::Result<util::JsonValue> remainingLifetime(
         const std::string &chip, const std::string &app,
-        drm::AdaptationSpace space, double t_qual_k = 345.0,
-        drm::surrogate::SurrogateMode surrogate =
-            drm::surrogate::SurrogateMode::Off);
+        drm::AdaptationSpace space, double t_qual_k = 345.0);
 
     /**
      * v3: chip-level DRM selection for one application per core

@@ -28,8 +28,7 @@ const char *const type_names[] = {
 // Strict parsing (and the v0-compatible field order of the encoder)
 // is declared here once per request type instead of re-implemented
 // in per-type branches. Each rule names a field, whether the type
-// requires it, the protocol version it arrived in, and whether the
-// encoder may omit it at its default value.
+// requires it, and the protocol version it arrived in.
 
 enum class Field : std::uint8_t {
     App,
@@ -50,15 +49,15 @@ enum class Field : std::uint8_t {
     Floorplan,
 };
 
+/** The values the retired `surrogate` field still accepts. */
+constexpr std::string_view surrogate_modes[] = {"off", "rank", "auto"};
+
 struct FieldRule
 {
     Field field;
     const char *name;
     bool required;
     int min_version;
-    /** Encoder omits the field when it holds its default value
-     *  (the optional surrogate mode). */
-    bool omit_default = false;
 };
 
 struct TypeRule
@@ -80,7 +79,7 @@ constexpr FieldRule select_drm_fields[] = {
     {Field::App, "app", true, 0},
     {Field::Space, "space", true, 0},
     {Field::TQualK, "t_qual_k", false, 0},
-    {Field::Surrogate, "surrogate", false, 0, true},
+    {Field::Surrogate, "surrogate", false, 0},
 };
 
 constexpr FieldRule select_dtm_fields[] = {
@@ -88,7 +87,7 @@ constexpr FieldRule select_dtm_fields[] = {
     {Field::Space, "space", true, 0},
     {Field::TDesignK, "t_design_k", false, 0},
     {Field::TQualK, "t_qual_k", false, 0},
-    {Field::Surrogate, "surrogate", false, 0, true},
+    {Field::Surrogate, "surrogate", false, 0},
 };
 
 constexpr FieldRule hello_fields[] = {
@@ -98,7 +97,7 @@ constexpr FieldRule hello_fields[] = {
 constexpr FieldRule report_usage_fields[] = {
     {Field::Chip, "chip", true, 2},
     {Field::State, "state", true, 2},
-    {Field::Seq, "seq", false, 2, true},
+    {Field::Seq, "seq", false, 2},
 };
 
 constexpr FieldRule remaining_lifetime_fields[] = {
@@ -106,7 +105,7 @@ constexpr FieldRule remaining_lifetime_fields[] = {
     {Field::App, "app", true, 2},
     {Field::Space, "space", true, 2},
     {Field::TQualK, "t_qual_k", false, 2},
-    {Field::Surrogate, "surrogate", false, 2, true},
+    {Field::Surrogate, "surrogate", false, 2},
 };
 
 constexpr FieldRule cache_append_fields[] = {
@@ -119,7 +118,7 @@ constexpr FieldRule select_chip_fields[] = {
     {Field::Apps, "apps", true, 3},
     {Field::Space, "space", true, 3},
     {Field::Policy, "policy", false, 3},
-    {Field::Floorplan, "floorplan", false, 3, true},
+    {Field::Floorplan, "floorplan", false, 3},
     {Field::TQualK, "t_qual_k", false, 3},
 };
 
@@ -225,14 +224,15 @@ parseField(const FieldRule &rule, const JsonValue &value,
             return RampError{ErrorCode::InvalidInput,
                              "request field 'surrogate' must be a "
                              "string"};
-        const auto parsed =
-            drm::surrogate::surrogateModeFromName(value.str);
-        if (!parsed)
+        // Accepted for older clients, then ignored: there is one
+        // selection path.
+        if (std::find(std::begin(surrogate_modes),
+                      std::end(surrogate_modes),
+                      value.str) == std::end(surrogate_modes))
             return RampError{
                 ErrorCode::InvalidInput,
                 util::cat("unknown surrogate mode '", value.str,
                           "' (off, rank, or auto)")};
-        req.surrogate = *parsed;
         return {};
       }
       case Field::MaxV: {
@@ -366,11 +366,6 @@ encodeField(const FieldRule &rule, const Request &req,
                  JsonValue::makeNumber(req.t_design_k));
         return;
       case Field::Surrogate:
-        if (req.surrogate != drm::surrogate::SurrogateMode::Off)
-            root.set("surrogate",
-                     JsonValue::makeString(
-                         drm::surrogate::surrogateModeName(
-                             req.surrogate)));
         return;
       case Field::MaxV:
         root.set("max_v", JsonValue::makeNumber(

@@ -66,11 +66,10 @@
  * restarted backend re-warms its cache from the snapshots its peers
  * push on (re)connect. The router never forwards it from clients.
  *
- * select_* requests additionally accept an optional
- * `"surrogate":"off"|"rank"|"auto"` field choosing the tiered
- * evaluation mode (drm/surrogate); absent means "off" (exhaustive).
- * The chosen winner is identical in every mode -- the field only
- * trades exact simulations for surrogate ranking on the server.
+ * select_drm, select_dtm and remaining_lifetime still accept the
+ * optional `"surrogate":"off"|"rank"|"auto"` field of older clients:
+ * it is validated and then ignored (every selection runs the one
+ * exhaustive path), and the encoder never emits it.
  *
  * Replies are {"id":N,"ok":true,"result":{...}} on success, or
  * {"id":N,"ok":false,"error":{"code":"...","message":"..."}} on
@@ -95,7 +94,6 @@
 
 #include "cmp/chip_drm.hh"
 #include "drm/adaptation.hh"
-#include "drm/surrogate/mode.hh"
 #include "util/error.hh"
 #include "util/json.hh"
 
@@ -161,9 +159,6 @@ struct Request
     double t_qual_k = 345.0;
     /** Thermal design point (select_dtm only, K). */
     double t_design_k = 370.0;
-    /** Tiered evaluation mode (select_* only); Off = exhaustive. */
-    drm::surrogate::SurrogateMode surrogate =
-        drm::surrogate::SurrogateMode::Off;
 
     /** hello: highest version the client speaks. */
     int max_v = protocol_version_max;

@@ -35,6 +35,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +46,7 @@
 #include "fault/fault.hh"
 #include "route/retry.hh"
 #include "serve/client.hh"
+#include "util/flags.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -111,38 +114,32 @@ main(int argc, char **argv)
             usage(prog, stdout);
             return 0;
         }
-        if (arg == "--port" || arg == "--timeout-ms" ||
-            arg == "--retries" || arg == "--backoff-ms" ||
-            arg == "--fault-seed") {
+        // An integer flag value that fits @p dest; else fatal.
+        const auto count = [&]<typename T>(T &dest) {
             if (i + 1 >= argc)
                 util::fatal(util::cat(arg, " needs a value"));
-            const std::string value = argv[++i];
-            char *end = nullptr;
-            const unsigned long long n =
-                std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0')
-                util::fatal(util::cat(arg,
-                                      " needs an integer, got '",
-                                      value, "'"));
-            if (arg == "--port")
-                opts.port = static_cast<std::uint16_t>(n);
-            else if (arg == "--timeout-ms")
-                opts.io_timeout_ms = static_cast<int>(n);
-            else if (arg == "--retries")
-                policy.retries = static_cast<int>(n);
-            else if (arg == "--backoff-ms")
-                policy.backoff_ms = static_cast<int>(n);
-            else
-                fault_seed = n;
-            continue;
-        }
-        if (arg == "--fault-plan") {
+            auto n = util::parseFlagInt(
+                arg, argv[++i], 0, std::numeric_limits<T>::max());
+            if (!n)
+                util::fatal(n.error().message);
+            dest = static_cast<T>(n.value());
+        };
+        if (arg == "--port")
+            count(opts.port);
+        else if (arg == "--timeout-ms")
+            count(opts.io_timeout_ms);
+        else if (arg == "--retries")
+            count(policy.retries);
+        else if (arg == "--backoff-ms")
+            count(policy.backoff_ms);
+        else if (arg == "--fault-seed")
+            count(fault_seed);
+        else if (arg == "--fault-plan") {
             if (i + 1 >= argc)
                 util::fatal(util::cat(arg, " needs a value"));
             fault_plan = argv[++i];
-            continue;
-        }
-        words.push_back(arg);
+        } else
+            words.push_back(arg);
     }
     if (opts.port == 0 || words.empty()) {
         usage(prog, stderr);
@@ -186,70 +183,96 @@ main(int argc, char **argv)
             std::chrono::system_clock::now().time_since_epoch())
             .count());
 
-    // One attempt: fresh connection, negotiate, dispatch.
-    const auto attemptOnce =
-        [&]() -> util::Result<util::JsonValue> {
-        auto session = serve::Session::open(opts);
-        if (!session)
-            return session.error();
+    // The command, checked once before any connection is made: a
+    // malformed invocation fails naming the bad argument whether or
+    // not a server is listening, and every retry sends the same call.
+    using Result = util::Result<util::JsonValue>;
+    using Call = std::function<Result(serve::Session &)>;
+    const Call call = [&]() -> Call {
         if (command == "evaluate") {
             arity(3, 4);
-            return session.value().evaluate(
-                words[1], space(words[2]),
-                static_cast<std::size_t>(
-                    std::strtoull(words[3].c_str(), nullptr, 10)),
-                words.size() > 4 ? parseTemp(words[4]) : 345.0);
+            const auto s = space(words[2]);
+            const auto config = util::parseFlagInt(
+                "CONFIG", words[3], 0,
+                std::numeric_limits<std::size_t>::max());
+            if (!config)
+                util::fatal(config.error().message);
+            const double t_qual =
+                words.size() > 4 ? parseTemp(words[4]) : 345.0;
+            return [&, s, index = config.value(),
+                    t_qual](serve::Session &session) {
+                return session.evaluate(words[1], s, index, t_qual);
+            };
         }
         if (command == "select-drm") {
             arity(2, 3);
-            return session.value().selectDrm(
-                words[1], space(words[2]),
-                words.size() > 3 ? parseTemp(words[3]) : 345.0);
+            const auto s = space(words[2]);
+            const double t_qual =
+                words.size() > 3 ? parseTemp(words[3]) : 345.0;
+            return [&, s, t_qual](serve::Session &session) {
+                return session.selectDrm(words[1], s, t_qual);
+            };
         }
         if (command == "select-dtm") {
             arity(2, 4);
-            return session.value().selectDtm(
-                words[1], space(words[2]),
-                words.size() > 3 ? parseTemp(words[3]) : 370.0,
-                words.size() > 4 ? parseTemp(words[4]) : 345.0);
+            const auto s = space(words[2]);
+            const double t_design =
+                words.size() > 3 ? parseTemp(words[3]) : 370.0;
+            const double t_qual =
+                words.size() > 4 ? parseTemp(words[4]) : 345.0;
+            return [&, s, t_design, t_qual](serve::Session &session) {
+                return session.selectDtm(words[1], s, t_design,
+                                         t_qual);
+            };
         }
         if (command == "stats") {
             arity(0, 0);
-            return session.value().stats();
+            return [](serve::Session &session) {
+                return session.stats();
+            };
         }
         if (command == "shutdown") {
             arity(0, 0);
-            auto done = session.value().requestShutdown();
-            if (!done)
-                return done.error();
-            util::JsonValue out = util::JsonValue::makeObject();
-            out.set("draining", util::JsonValue::makeBool(true));
-            return out;
+            return [](serve::Session &session) -> Result {
+                auto done = session.requestShutdown();
+                if (!done)
+                    return done.error();
+                util::JsonValue out = util::JsonValue::makeObject();
+                out.set("draining", util::JsonValue::makeBool(true));
+                return out;
+            };
         }
         if (command == "hello") {
             arity(0, 0);
             // The session already negotiated; report what it
             // learned.
-            util::JsonValue out = util::JsonValue::makeObject();
-            out.set("negotiated_v",
-                    util::JsonValue::makeNumber(
-                        session.value().version()));
-            return out;
+            return [](serve::Session &session) -> Result {
+                util::JsonValue out = util::JsonValue::makeObject();
+                out.set("negotiated_v", util::JsonValue::makeNumber(
+                                            session.version()));
+                return out;
+            };
         }
         if (command == "report-usage") {
             arity(2, 2);
             auto state = aging::loadAgingState(words[2]);
             if (!state)
-                return state.error();
-            return session.value().reportUsage(
-                words[1], aging::toJson(state.value()),
-                report_seq);
+                util::fatal(util::cat(command, ": ",
+                                      state.error().str()));
+            return [&, doc = aging::toJson(state.value())](
+                       serve::Session &session) {
+                return session.reportUsage(words[1], doc, report_seq);
+            };
         }
         if (command == "remaining-lifetime") {
             arity(3, 4);
-            return session.value().remainingLifetime(
-                words[1], words[2], space(words[3]),
-                words.size() > 4 ? parseTemp(words[4]) : 345.0);
+            const auto s = space(words[3]);
+            const double t_qual =
+                words.size() > 4 ? parseTemp(words[4]) : 345.0;
+            return [&, s, t_qual](serve::Session &session) {
+                return session.remainingLifetime(words[1], words[2], s,
+                                                 t_qual);
+            };
         }
         if (command == "select-chip") {
             arity(3, words.size()); // POLICY SPACE APP [APP...]
@@ -258,16 +281,26 @@ main(int argc, char **argv)
                 util::fatal(util::cat("unknown budget policy '",
                                       words[1],
                                       "' (per-core or global)"));
-            const std::vector<std::string> apps(words.begin() + 3,
-                                                words.end());
-            return session.value().selectChip(apps, space(words[2]),
-                                              *policy);
+            const auto s = space(words[2]);
+            return [&, s, policy = *policy](serve::Session &session) {
+                const std::vector<std::string> apps(words.begin() + 3,
+                                                    words.end());
+                return session.selectChip(apps, s, policy);
+            };
         }
         usage(prog, stderr);
         util::fatal(util::cat("unknown command '", command, "'"));
+    }();
+
+    // One attempt: fresh connection, negotiate, dispatch.
+    const auto attemptOnce = [&]() -> Result {
+        auto session = serve::Session::open(opts);
+        if (!session)
+            return session.error();
+        return call(session.value());
     };
 
-    util::Result<util::JsonValue> result =
+    Result result =
         util::RampError{util::ErrorCode::InvalidInput, "unset"};
     for (int attempt = 0; attempt < policy.attempts(); ++attempt) {
         if (attempt > 0) {

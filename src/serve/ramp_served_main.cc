@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "fault/fault.hh"
 #include "serve/replicator.hh"
 #include "serve/server.hh"
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -71,42 +73,6 @@ badFlag(const char *prog, const std::string &why)
     ramp::util::fatal(why);
 }
 
-std::uint64_t
-parseCount(const char *prog, const std::string &flag,
-           const std::string &value)
-{
-    char *end = nullptr;
-    const unsigned long long n =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || *end != '\0')
-        badFlag(prog, ramp::util::cat(flag,
-                                      " needs an integer, got '",
-                                      value, "'"));
-    return n;
-}
-
-std::vector<std::uint16_t>
-parsePorts(const char *prog, const std::string &flag,
-           const std::string &value)
-{
-    std::vector<std::uint16_t> ports;
-    std::size_t start = 0;
-    while (start <= value.size()) {
-        std::size_t comma = value.find(',', start);
-        if (comma == std::string::npos)
-            comma = value.size();
-        const std::string item = value.substr(start, comma - start);
-        if (item.empty())
-            badFlag(prog, ramp::util::cat(flag,
-                                          " has an empty entry in '",
-                                          value, "'"));
-        ports.push_back(static_cast<std::uint16_t>(
-            parseCount(prog, flag, item)));
-        start = comma + 1;
-    }
-    return ports;
-}
-
 } // namespace
 
 int
@@ -137,32 +103,37 @@ main(int argc, char **argv)
         if (i + 1 >= argc)
             badFlag(prog, util::cat(arg, " needs a value"));
         const std::string value = argv[++i];
+        // An integer flag value that fits @p dest; else fatal.
+        const auto count = [&]<typename T>(T &dest) {
+            auto n = util::parseFlagInt(
+                arg, value, 0, std::numeric_limits<T>::max());
+            if (!n)
+                badFlag(prog, n.error().message);
+            dest = static_cast<T>(n.value());
+        };
         if (arg == "--port")
-            server_opts.port = static_cast<std::uint16_t>(
-                parseCount(prog, arg, value));
+            count(server_opts.port);
         else if (arg == "--port-file")
             port_file = value;
         else if (arg == "--cache")
             service_opts.cache_path = value;
         else if (arg == "--threads")
-            service_opts.threads = static_cast<unsigned>(
-                parseCount(prog, arg, value));
+            count(service_opts.threads);
         else if (arg == "--apps")
-            service_opts.max_apps = static_cast<std::size_t>(
-                parseCount(prog, arg, value));
+            count(service_opts.max_apps);
         else if (arg == "--queue-depth")
-            server_opts.queue_depth = static_cast<std::size_t>(
-                parseCount(prog, arg, value));
+            count(server_opts.queue_depth);
         else if (arg == "--batch-max")
-            server_opts.batch_max = static_cast<std::size_t>(
-                parseCount(prog, arg, value));
+            count(server_opts.batch_max);
         else if (arg == "--idle-timeout-ms")
-            server_opts.idle_timeout_ms = static_cast<int>(
-                parseCount(prog, arg, value));
+            count(server_opts.idle_timeout_ms);
         else if (arg == "--aging-state")
             aging_state_path = value;
         else if (arg == "--peers") {
-            peers = parsePorts(prog, arg, value);
+            auto list = util::parsePortList(arg, value);
+            if (!list)
+                badFlag(prog, list.error().message);
+            peers = list.value();
             // Peered daemons own their cache log privately (peers
             // re-warm each other over the wire), so the flock
             // sidecar is skipped and the log carries epoch headers.
@@ -173,7 +144,7 @@ main(int argc, char **argv)
         else if (arg == "--fault-plan")
             fault_plan = value;
         else if (arg == "--fault-seed")
-            fault_seed = parseCount(prog, arg, value);
+            count(fault_seed);
         else
             badFlag(prog,
                     util::cat("unknown argument '", arg,

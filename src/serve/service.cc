@@ -153,34 +153,12 @@ EvaluationService::select(const Request &req)
     const auto qual = qualification(req.t_qual_k);
     const bool drm_policy = req.type == RequestType::SelectDrm;
 
-    drm::Selection sel;
-    if (req.surrogate != drm::surrogate::SurrogateMode::Off) {
-        // Tiered fast path: surrogate-ranked, exactly-confirmed --
-        // the winner is identical to the exhaustive branch below
-        // (the serve tests assert the reply bytes match), only the
-        // number of exact simulations changes.
-        if (!tiered_)
-            tiered_ =
-                std::make_unique<drm::surrogate::TieredExplorer>(
-                    explorer_, &cache_);
-        drm::surrogate::TieredOptions topts = tiered_->options();
-        topts.mode = req.surrogate;
-        tiered_->setOptions(topts);
-        const workload::AppProfile &app = apps_[idx.value()];
-        sel = drm_policy
-                  ? tiered_->selectDrm(app, req.space, qual).selection
-                  : tiered_
-                        ->selectDtm(app, req.space, req.t_design_k,
-                                    qual)
-                        .selection;
-    } else {
-        auto space = explored(idx.value(), req.space);
-        if (!space)
-            return space.error();
-        sel = drm_policy ? drm::selectDrm(*space.value(), qual)
-                         : drm::selectDtm(*space.value(),
-                                          req.t_design_k, qual);
-    }
+    auto space = explored(idx.value(), req.space);
+    if (!space)
+        return space.error();
+    const drm::Selection sel =
+        drm_policy ? drm::selectDrm(*space.value(), qual)
+                   : drm::selectDtm(*space.value(), req.t_design_k, qual);
 
     JsonValue out = JsonValue::makeObject();
     out.set("app", JsonValue::makeString(req.app));
@@ -395,7 +373,7 @@ EvaluationService::remainingLifetime(const Request &req)
     // Selection API: a chip with banked slack selects against a
     // hotter effective T_qual (more feasible points, a faster
     // winner); an over-spent chip selects against a cooler one and
-    // throttles. Oracle and surrogate paths both apply.
+    // throttles.
     Request sel_req = req;
     sel_req.type = RequestType::SelectDrm;
     sel_req.t_qual_k = t_eff_k;
@@ -544,26 +522,7 @@ EvaluationService::saveAgingRegistry(const std::string &path) const
     doc.set("v", JsonValue::makeNumber(registry_version));
     doc.set("chips", std::move(chips));
 
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return RampError{
-                ErrorCode::IoFailure,
-                util::cat("cannot open '", tmp, "' for writing")};
-        util::writeJson(os, doc);
-        os << '\n';
-        os.flush();
-        if (!os)
-            return RampError{ErrorCode::IoFailure,
-                             util::cat("write to '", tmp,
-                                       "' failed")};
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        return RampError{ErrorCode::IoFailure,
-                         util::cat("cannot rename '", tmp, "' to '",
-                                   path, "'")};
-    return {};
+    return util::saveJson(path, doc);
 }
 
 JsonValue

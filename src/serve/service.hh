@@ -46,7 +46,6 @@
 #include "drm/adaptation.hh"
 #include "drm/eval_cache.hh"
 #include "drm/oracle.hh"
-#include "drm/surrogate/tiered.hh"
 #include "serve/protocol.hh"
 #include "util/thread_pool.hh"
 #include "workload/profile.hh"
@@ -118,10 +117,7 @@ class EvaluationService
      * Run one DRM or DTM oracle selection (req.type selects which).
      * The explored space is memoized per (app, space), so repeated
      * selections at different temperatures re-run only the cheap
-     * constraint evaluation. With req.surrogate != Off the selection
-     * runs through the tiered explorer instead (same winner, far
-     * fewer exact simulations; see drm/surrogate/tiered.hh).
-     * Driver-thread only (fans out on the pool).
+     * constraint evaluation. Driver-thread only (fans out on the pool).
      */
     [[nodiscard]] util::Result<util::JsonValue> select(const Request &req);
 
@@ -171,7 +167,7 @@ class EvaluationService
      * (unknown chips are InvalidInput -- report usage first), run
      * the slack-banking policy to get the effective qualification
      * temperature its banked slack affords, select the DRM point at
-     * that temperature (oracle or surrogate, per the request), and
+     * that temperature, and
      * answer consumed fraction, slack, the selection, and the ETA
      * until the budget is spent at the selected point's FIT.
      * Driver-thread only (runs a selection on the pool).
@@ -220,10 +216,6 @@ class EvaluationService
     std::map<std::pair<std::size_t, drm::AdaptationSpace>,
              std::shared_ptr<const drm::ExploredApp>>
         explored_;
-
-    /** Driver-thread only: tiered fast path (lazily built on the
-     *  first request that asks for it). */
-    std::unique_ptr<drm::surrogate::TieredExplorer> tiered_;
 
     mutable std::mutex aging_mu_;
     // ramp-lint: guarded_by(aging_mu_)

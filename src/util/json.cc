@@ -2,7 +2,9 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -402,6 +404,30 @@ writeJson(const JsonValue &value)
     std::ostringstream os;
     writeJson(os, value);
     return os.str();
+}
+
+Result<void>
+saveJson(const std::string &path, const JsonValue &value)
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream os(tmp, std::ios::trunc);
+        if (!os)
+            return RampError{
+                ErrorCode::IoFailure,
+                cat("cannot open '", tmp, "' for writing")};
+        writeJson(os, value);
+        os << '\n';
+        os.flush();
+        if (!os)
+            return RampError{ErrorCode::IoFailure,
+                             cat("write to '", tmp, "' failed")};
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        return RampError{ErrorCode::IoFailure,
+                         cat("cannot rename '", tmp, "' to '", path,
+                             "'")};
+    return {};
 }
 
 namespace {

@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/error.hh"
+
 namespace ramp {
 namespace util {
 
@@ -144,6 +146,15 @@ void writeJson(std::ostream &os, const JsonValue &value);
 
 /** writeJson into a string (protocol messages, tests). */
 std::string writeJson(const JsonValue &value);
+
+/**
+ * Write @p value plus a newline to @p path atomically: it goes to
+ * `path.tmp` first, which is then renamed over @p path, so a reader
+ * sees the old file or the new one, never a torn one. IoFailure when
+ * the temp file cannot be opened, written or renamed.
+ */
+[[nodiscard]] Result<void> saveJson(const std::string &path,
+                                    const JsonValue &value);
 
 /**
  * Parse a complete JSON document. Strict: one root value, no trailing

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
+#include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
@@ -52,10 +54,10 @@ unsigned
 defaultThreadCount()
 {
     if (const char *env = std::getenv("RAMP_THREADS")) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<unsigned>(n);
+        const auto n = parseFlagInt("RAMP_THREADS", env, 1,
+                                    std::numeric_limits<unsigned>::max());
+        if (n)
+            return static_cast<unsigned>(n.value());
         warn(cat("RAMP_THREADS='", env,
                  "' is not a positive integer; falling back to "
                  "hardware concurrency"));

@@ -3,11 +3,14 @@
  * Tests for the shared bench command line (bench/common.hh): the
  * three-way cache-path precedence (--cache flag > RAMP_EVAL_CACHE >
  * default, with an explicit empty flag selecting an in-memory
- * cache), the --surrogate mode flag, and the --bench-json artifact
- * override.
+ * cache), the checked integer flags, the --bench-json artifact
+ * override, and the atomic artifact writer.
  */
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,24 +96,6 @@ TEST(BenchOptions, EmptyCacheFlagMeansInMemoryAndBeatsEnv)
     EXPECT_EQ(cachePath(opts), "");
 }
 
-TEST(BenchOptions, SurrogateFlagParses)
-{
-    EXPECT_EQ(parseArgs({}).surrogate,
-              drm::surrogate::SurrogateMode::Off);
-    EXPECT_EQ(parseArgs({"--surrogate", "off"}).surrogate,
-              drm::surrogate::SurrogateMode::Off);
-    EXPECT_EQ(parseArgs({"--surrogate", "rank"}).surrogate,
-              drm::surrogate::SurrogateMode::Rank);
-    EXPECT_EQ(parseArgs({"--surrogate=auto"}).surrogate,
-              drm::surrogate::SurrogateMode::Auto);
-}
-
-TEST(BenchOptionsDeath, UnknownSurrogateModeIsFatal)
-{
-    EXPECT_EXIT(parseArgs({"--surrogate", "fast"}),
-                testing::ExitedWithCode(1), "off, rank, or auto");
-}
-
 TEST(BenchOptions, ChipShapeFlagsParse)
 {
     const Options plain = parseArgs({});
@@ -126,11 +111,26 @@ TEST(BenchOptions, ChipShapeFlagsParse)
 TEST(BenchOptionsDeath, BadChipShapeFlagsAreFatal)
 {
     EXPECT_EXIT(parseArgs({"--cores", "0"}),
-                testing::ExitedWithCode(1), "positive integer");
+                testing::ExitedWithCode(1),
+                "--cores needs an integer from 1");
     EXPECT_EXIT(parseArgs({"--cores", "two"}),
-                testing::ExitedWithCode(1), "positive integer");
+                testing::ExitedWithCode(1),
+                "--cores needs an integer from 1");
     EXPECT_EXIT(parseArgs({"--floorplan", ""}),
                 testing::ExitedWithCode(1), "non-empty path");
+}
+
+TEST(BenchOptionsDeath, SignedOrOversizedCountsAreFatal)
+{
+    // strtoull would take "-1" as 2^64-1 threads.
+    EXPECT_EXIT(parseArgs({"--threads", "-1"}),
+                testing::ExitedWithCode(1),
+                "--threads needs an integer");
+    EXPECT_EXIT(parseArgs({"--threads=4294967296"}),
+                testing::ExitedWithCode(1),
+                "--threads needs an integer");
+    EXPECT_EXIT(parseArgs({"--apps", "+2"}), testing::ExitedWithCode(1),
+                "--apps needs an integer");
 }
 
 TEST(BenchOptions, BenchJsonDefaultsOverridesAndDisables)
@@ -148,6 +148,27 @@ TEST(BenchOptions, BenchJsonDefaultsOverridesAndDisables)
     const Options disabled = parseArgs({"--bench-json", ""});
     EXPECT_TRUE(disabled.bench_json_set);
     EXPECT_EQ(benchJsonPath(disabled, "BENCH_x.json"), "");
+}
+
+TEST(BenchArtifact, ReplacesTheFileWholeAndReportsFailure)
+{
+    const std::string path = "bench_artifact_test.json";
+    {
+        std::ofstream old(path);
+        old << "stale and longer than the new document\n";
+    }
+    util::JsonValue doc = util::JsonValue::makeObject();
+    doc.set("n", util::JsonValue::makeNumber(1));
+    ASSERT_TRUE(writeBenchArtifact(path, doc));
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text, "{\"n\":1}\n");
+    EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+    std::remove(path.c_str());
+
+    // An unwritable path is reported, not warned about and dropped.
+    EXPECT_FALSE(writeBenchArtifact("no_such_dir/BENCH_x.json", doc));
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * bench_serve's request stream: `--seed` selects it, seed 1 stays the
- * stream BENCH_serve.json was measured on, and any other seed draws a
- * different one.
+ * reference stream the serve smokes have always driven, and any other
+ * seed draws a different one.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@ namespace bench {
 namespace {
 
 /** The request keys of the 8-connection x 40-request stream at
- *  @p seed (BENCH_serve.json's shape). */
+ *  @p seed (the bench_serve_smoke shape). */
 std::vector<std::string>
 stream(std::uint64_t seed)
 {
@@ -28,9 +28,8 @@ stream(std::uint64_t seed)
     std::vector<std::string> keys;
     for (std::size_t w = 0; w < 8; ++w)
         for (std::size_t s = 0; s < 40; ++s)
-            keys.push_back(requestKey(mixedRequest(
-                seed, w, s, apps,
-                drm::surrogate::SurrogateMode::Off)));
+            keys.push_back(
+                requestKey(mixedRequest(seed, w, s, apps)));
     return keys;
 }
 
@@ -50,7 +49,7 @@ fnv1a(const std::vector<std::string> &keys)
 TEST(ServeMix, SeedOneIsTheReferenceStream)
 {
     // Pinned from the stream before --seed reached it: changing it
-    // would silently change what BENCH_serve.json measures.
+    // would silently change what the serve smokes exercise.
     EXPECT_EQ(fnv1a(stream(1)), 0x272c9f90135ea530ull);
 }
 

@@ -3,9 +3,12 @@
  * End-to-end smoke of the real binaries: ramp_served is spawned as a
  * child process, driven with ramp_client invocations, and drained
  * two ways -- by a shutdown request and by SIGTERM -- plus once under
- * a fault plan that drops and delays connections. Paths to the
- * binaries arrive as compile definitions (RAMP_SERVED_BIN,
- * RAMP_CLIENT_BIN), the pattern ramp_lint_test established.
+ * a fault plan that drops and delays connections. The three
+ * binaries' integer flags and arguments are checked to be rejected,
+ * naming the flag, when out of range or not plain digits. Paths to
+ * the binaries arrive as compile definitions (RAMP_SERVED_BIN,
+ * RAMP_ROUTED_BIN, RAMP_CLIENT_BIN), the pattern ramp_lint_test
+ * established.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +20,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hh"
@@ -91,6 +96,19 @@ runClient(int port, const std::string &args)
                                    " >/dev/null 2>&1")
                                    .c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/** Run a command line; returns its exit code and stderr text. */
+std::pair<int, std::string>
+runCaptured(const std::string &dir, const std::string &cmd)
+{
+    const std::string err = dir + "/stderr.txt";
+    const int rc =
+        std::system(cat(cmd, " >/dev/null 2>", err).c_str());
+    std::ifstream in(err);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    return {WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, text};
 }
 
 /** Reap the daemon; returns its exit code (-1 on abnormal exit). */
@@ -168,6 +186,33 @@ TEST(DaemonSmoke, SurvivesDroppedAndSlowConnections)
     ASSERT_EQ(::kill(pid, SIGTERM), 0);
     EXPECT_EQ(reap(pid), 0)
         << "daemon did not survive the fault campaign";
+}
+
+TEST(DaemonSmoke, OutOfRangeIntegersAreRejectedNamingTheFlag)
+{
+    const std::string dir = scratchDir("flags");
+    const std::string served = RAMP_SERVED_BIN;
+    const std::string routed = RAMP_ROUTED_BIN;
+    const std::string client = RAMP_CLIENT_BIN;
+    // Each would previously wrap or truncate silently: 65536 to an
+    // ephemeral port, -1 to 65535 or 2^64-1, "abc" to config 0.
+    const std::pair<std::string, std::string> cases[] = {
+        {served + " --port 65536 --port-file " + dir + "/port.txt",
+         "--port"},
+        {served + " --threads -1", "--threads"},
+        {routed + " --backends 70000", "--backends"},
+        {routed + " --backends 1,,2", "--backends"},
+        {client + " --port -1 stats", "--port"},
+        {client + " --port 1 evaluate MPGdec DVS abc", "CONFIG"},
+    };
+    for (const auto &[cmd, flag] : cases) {
+        const auto [rc, err] = runCaptured(dir, cmd);
+        EXPECT_NE(rc, 0) << cmd;
+        EXPECT_NE(err.find(flag), std::string::npos)
+            << cmd << "\n" << err;
+    }
+    // Nothing listened on the rejected port.
+    EXPECT_FALSE(std::ifstream(dir + "/port.txt").good());
 }
 
 } // namespace

@@ -135,38 +135,57 @@ TEST(Protocol, ParseRejectsFieldsForeignToTheType)
             .ok());
 }
 
+namespace {
+
+// The three verbs that once took a "surrogate" field. The field is
+// retired: older clients may still send it, so it is parsed and then
+// ignored.
+const char *const kSurrogateVerbBodies[] = {
+    "\"type\":\"select_drm\",\"app\":\"gzip\",\"space\":\"DVS\"",
+    "\"type\":\"select_dtm\",\"app\":\"gzip\",\"space\":\"DVS\"",
+    "\"v\":2,\"type\":\"remaining_lifetime\",\"chip\":\"c\","
+    "\"app\":\"gzip\",\"space\":\"DVS\"",
+};
+
+} // namespace
+
 TEST(Protocol, SurrogateModeRoundTripsOnSelects)
 {
-    for (RequestType t :
-         {RequestType::SelectDrm, RequestType::SelectDtm}) {
-        Request req;
-        req.id = 5;
-        req.type = t;
-        req.app = "gzip";
-        req.space = drm::AdaptationSpace::Dvs;
-        req.surrogate = drm::surrogate::SurrogateMode::Rank;
-        const auto parsed = parseRequest(encodeRequest(req));
-        ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-        EXPECT_EQ(parsed.value().surrogate,
-                  drm::surrogate::SurrogateMode::Rank);
+    // Every valid mode parses to the same request as no field at all.
+    for (const char *body : kSurrogateVerbBodies) {
+        const auto plain =
+            parseRequest(std::string("{\"id\":5,") + body + "}");
+        ASSERT_TRUE(plain.ok()) << plain.error().str();
+        const std::string want = encodeRequest(plain.value());
+        for (const char *mode : {"off", "rank", "auto"}) {
+            const auto with = parseRequest(
+                std::string("{\"id\":5,") + body +
+                ",\"surrogate\":\"" + mode + "\"}");
+            ASSERT_TRUE(with.ok()) << with.error().str();
+            EXPECT_EQ(encodeRequest(with.value()), want)
+                << body << " surrogate=" << mode;
+        }
     }
 }
 
 TEST(Protocol, SurrogateDefaultsToOffAndStaysOffTheWire)
 {
-    Request req;
-    req.id = 6;
-    req.type = RequestType::SelectDrm;
-    req.app = "gzip";
-    req.space = drm::AdaptationSpace::Dvs;
-    // Off is the default, so it is never emitted: old servers keep
-    // parsing new clients' requests.
-    const std::string wire = encodeRequest(req);
-    EXPECT_EQ(wire.find("surrogate"), std::string::npos);
-    const auto parsed = parseRequest(wire);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-    EXPECT_EQ(parsed.value().surrogate,
-              drm::surrogate::SurrogateMode::Off);
+    // The encoder never emits the field, so servers that still
+    // validate it keep parsing new clients' requests.
+    for (const char *body : kSurrogateVerbBodies) {
+        for (const char *extra :
+             {"", ",\"surrogate\":\"off\"", ",\"surrogate\":\"rank\""}) {
+            const auto parsed = parseRequest(
+                std::string("{\"id\":6,") + body + extra + "}");
+            ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+            const std::string wire = encodeRequest(parsed.value());
+            EXPECT_EQ(wire.find("surrogate"), std::string::npos)
+                << body << extra;
+            const auto again = parseRequest(wire);
+            ASSERT_TRUE(again.ok()) << again.error().str();
+            EXPECT_EQ(encodeRequest(again.value()), wire);
+        }
+    }
 }
 
 TEST(Protocol, SurrogateFieldIsValidated)

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "aging/state.hh"
 #include "fault/fault.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -135,6 +136,50 @@ TEST_F(ServerTest, SelectionsMatchDirectPath)
     ASSERT_TRUE(direct_dtm.ok());
     EXPECT_EQ(util::writeJson(served_dtm.value()),
               util::writeJson(direct_dtm.value()));
+}
+
+TEST_F(ServerTest, RetiredSurrogateFieldLeavesRepliesByteIdentical)
+{
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    auto sock = util::connectTcp(server.port(), 2'000);
+    ASSERT_TRUE(sock.ok());
+    // One raw request frame out, its raw reply frame back.
+    const auto roundTrip = [&](const std::string &payload) {
+        EXPECT_TRUE(util::writeFrame(sock.value(), payload,
+                                     default_max_frame, 1'000)
+                        .ok());
+        auto frame =
+            util::readFrame(sock.value(), default_max_frame, 30'000);
+        EXPECT_TRUE(frame.ok() && frame.value().has_value());
+        const std::string reply =
+            frame.ok() && frame.value() ? *frame.value() : "";
+        EXPECT_NE(reply.find("\"ok\":true"), std::string::npos)
+            << payload << " -> " << reply;
+        return reply;
+    };
+
+    aging::AgingState used;
+    used.age_hours = 8760.0;
+    used.damage[0][0] = 0.01;
+    roundTrip("{\"id\":1,\"v\":2,\"type\":\"report_usage\","
+              "\"chip\":\"surrogate-chip\",\"state\":" +
+              util::writeJson(aging::toJson(used)) + "}");
+
+    const std::string app = "\"app\":\"" + app_ + "\"";
+    for (const std::string &body :
+         {"\"type\":\"select_drm\",\"space\":\"DVS\"," + app,
+          "\"type\":\"select_dtm\",\"space\":\"DVS\"," + app,
+          "\"v\":2,\"type\":\"remaining_lifetime\","
+          "\"chip\":\"surrogate-chip\",\"space\":\"DVS\"," +
+              app}) {
+        const std::string want = roundTrip("{\"id\":2," + body + "}");
+        for (const char *mode : {"rank", "auto"})
+            EXPECT_EQ(roundTrip("{\"id\":2," + body +
+                                ",\"surrogate\":\"" + mode + "\"}"),
+                      want)
+                << body << " surrogate=" << mode;
+    }
 }
 
 TEST_F(ServerTest, PipelinedIdenticalRequestsAllAnswered)

@@ -113,7 +113,7 @@ parseProtocol(const FileScan &scan, std::vector<VerbInfo> &verbs,
         std::vector<FieldInfo> fields;
         while (k < t.size() && !isPunct(t, k, ";")) {
             if (isPunct(t, k, "{")) {
-                // One entry: { Field::X, "name", req, ver[, omit] }
+                // One entry: { Field::X, "name", req, ver }
                 FieldInfo f;
                 bool have_name = false, have_ver = false;
                 int commas = 0;
