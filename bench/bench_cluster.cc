@@ -219,6 +219,22 @@ spawnBackend(const std::vector<std::string> &args)
     return pid;
 }
 
+/** One v0 stats round trip to the daemon on @p port. */
+util::Result<util::JsonValue>
+statsOf(std::uint16_t port)
+{
+    serve::ClientOptions copts;
+    copts.port = port;
+    copts.connect_timeout_ms = 500;
+    copts.io_timeout_ms = 2'000;
+    auto client = serve::Client::connect(copts);
+    if (!client)
+        return client.error();
+    serve::Request req;
+    req.type = serve::RequestType::Stats;
+    return serve::Client::unwrap(client.value().call(std::move(req)));
+}
+
 bool
 waitReady(std::uint16_t port, int timeout_ms)
 {
@@ -226,14 +242,8 @@ waitReady(std::uint16_t port, int timeout_ms)
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(timeout_ms);
     while (std::chrono::steady_clock::now() < deadline) {
-        serve::ClientOptions copts;
-        copts.port = port;
-        copts.connect_timeout_ms = 500;
-        copts.io_timeout_ms = 2'000;
-        if (auto client = serve::Client::connect(copts)) {
-            if (auto stats = client.value().stats())
-                return true;
-        }
+        if (statsOf(port))
+            return true;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(100));
     }
@@ -245,14 +255,7 @@ waitReady(std::uint16_t port, int timeout_ms)
 long long
 cacheRecords(std::uint16_t port)
 {
-    serve::ClientOptions copts;
-    copts.port = port;
-    copts.connect_timeout_ms = 500;
-    copts.io_timeout_ms = 2'000;
-    auto client = serve::Client::connect(copts);
-    if (!client)
-        return -1;
-    auto stats = client.value().stats();
+    auto stats = statsOf(port);
     if (!stats)
         return -1;
     const util::JsonValue *cache = stats.value().find("cache");

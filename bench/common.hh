@@ -281,17 +281,7 @@ struct Options
             telemetry::writeFilesAtExit(opts.metrics_path,
                                         opts.trace_path);
 
-        if (opts.fault_seed != 0 && opts.fault_plan.empty())
-            util::fatal("--fault-seed requires --fault-plan");
-        if (!opts.fault_plan.empty()) {
-            auto plan = fault::loadFaultPlan(opts.fault_plan);
-            if (!plan)
-                util::fatal(util::cat("--fault-plan: ",
-                                      plan.error().str()));
-            if (opts.fault_seed != 0)
-                plan.value().seed = opts.fault_seed;
-            fault::installFaultPlan(plan.value());
-        }
+        fault::installFaultFlags(opts.fault_plan, opts.fault_seed);
         return opts;
     }
 };

@@ -30,14 +30,10 @@ namespace {
 // check drops every stale key at load.
 constexpr int record_version = 3;
 
-/** Process-wide mirror of the per-instance Stats counters, so cache
- *  behaviour shows up in `--metrics` snapshots alongside everything
- *  else. The per-instance atomics stay authoritative for stats(). */
+/** Load-time counters with no per-instance tally (stats() reads
+ *  the instance's own fields for those). */
 struct CacheMetrics
 {
-    telemetry::Counter hits = telemetry::counter("cache.hits");
-    telemetry::Counter misses = telemetry::counter("cache.misses");
-    telemetry::Counter appends = telemetry::counter("cache.appends");
     telemetry::Counter loaded = telemetry::counter("cache.loaded");
     telemetry::Counter compactions =
         telemetry::counter("cache.compactions");
@@ -354,12 +350,10 @@ EvaluationCache::get(const std::string &key) const
     std::shared_lock lock(mutex_);
     auto it = entries_.find(key);
     if (it == entries_.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        cacheMetrics().misses.add();
+        misses_.add();
         return std::nullopt;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    cacheMetrics().hits.add();
+    hits_.add();
     return it->second;
 }
 
@@ -432,8 +426,7 @@ EvaluationCache::appendLine(const std::string &text)
         appender_.clear();
         return;
     }
-    appended_.fetch_add(1, std::memory_order_relaxed);
-    cacheMetrics().appends.add();
+    appended_.add();
 }
 
 void
@@ -488,9 +481,9 @@ EvaluationCache::Stats
 EvaluationCache::stats() const
 {
     Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.appended = appended_.load(std::memory_order_relaxed);
+    s.hits = hits_.value();
+    s.misses = misses_.value();
+    s.appended = appended_.value();
     s.loaded = loaded_;
     s.compacted = compacted_;
     s.quarantined = quarantined_;

@@ -48,6 +48,7 @@
 
 #include "core/evaluator.hh"
 #include "sim/machine.hh"
+#include "util/telemetry.hh"
 #include "workload/profile.hh"
 
 namespace ramp {
@@ -204,9 +205,10 @@ class EvaluationCache
      *  lifetime (exclusive during compaction); -1 when unavailable. */
     int lock_fd_ = -1;
 
-    mutable std::atomic<std::size_t> hits_{0};
-    mutable std::atomic<std::size_t> misses_{0};
-    std::atomic<std::size_t> appended_{0};
+    mutable telemetry::Tally hits_{telemetry::counter("cache.hits")};
+    mutable telemetry::Tally misses_{
+        telemetry::counter("cache.misses")};
+    telemetry::Tally appended_{telemetry::counter("cache.appends")};
     std::size_t loaded_ = 0;
     std::size_t compacted_ = 0;
     std::size_t quarantined_ = 0;

@@ -249,6 +249,22 @@ installFaultPlan(FaultPlan plan)
     planInstalled() = true;
 }
 
+std::optional<std::uint64_t>
+installFaultFlags(const std::string &plan_arg, std::uint64_t seed)
+{
+    if (seed != 0 && plan_arg.empty())
+        util::fatal("--fault-seed requires --fault-plan");
+    if (plan_arg.empty())
+        return std::nullopt;
+    auto plan = loadFaultPlan(plan_arg);
+    if (!plan)
+        util::fatal(util::cat("--fault-plan: ", plan.error().str()));
+    if (seed != 0)
+        plan.value().seed = seed;
+    installFaultPlan(plan.value());
+    return plan.value().seed;
+}
+
 void
 clearFaultPlan()
 {

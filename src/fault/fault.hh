@@ -126,6 +126,17 @@ bool sensorFaultsArmed(const FaultPlan &plan);
  *  before spawning threads; injection sites read it without locks. */
 void installFaultPlan(FaultPlan plan);
 
+/**
+ * The `--fault-plan P` / `--fault-seed N` pair every binary accepts:
+ * fatal when a non-zero @p seed comes without a plan or the plan
+ * does not load; otherwise the plan is installed, with a non-zero
+ * @p seed overriding the plan's own.
+ * @return the installed plan's seed (for RetryPolicy::seed), or
+ *         nullopt when @p plan_arg is empty.
+ */
+std::optional<std::uint64_t> installFaultFlags(const std::string &plan_arg,
+                                               std::uint64_t seed);
+
 /** Remove the installed plan (tests). */
 void clearFaultPlan();
 

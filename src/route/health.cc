@@ -45,77 +45,47 @@ HealthTable::usable(std::size_t i) const
 void
 HealthTable::observeSuccess(std::size_t i)
 {
-    std::size_t usable_now = 0;
-    bool recovered = false;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        Entry &e = entries_.at(i);
-        e.consecutive_failures = 0;
-        if (e.state != HealthState::Healthy) {
-            e.state = HealthState::Healthy;
-            ++ups_;
-            recovered = true;
-        }
-        for (const Entry &x : entries_)
-            if (x.state != HealthState::Down)
-                ++usable_now;
-    }
-    if (recovered) {
-        up_counter_.add();
-        healthy_gauge_.set(static_cast<double>(usable_now));
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    Entry &e = entries_.at(i);
+    e.consecutive_failures = 0;
+    if (e.state == HealthState::Healthy)
+        return;
+    e.state = HealthState::Healthy;
+    ups_.add();
+    healthy_gauge_.set(static_cast<double>(usableLocked()));
 }
 
 void
 HealthTable::observeFailure(std::size_t i)
 {
-    std::size_t usable_now = 0;
-    bool went_down = false;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        Entry &e = entries_.at(i);
-        ++e.consecutive_failures;
-        if (e.state == HealthState::Healthy)
-            e.state = HealthState::Suspect;
-        if (e.state == HealthState::Suspect &&
-            e.consecutive_failures >= fail_threshold_) {
-            e.state = HealthState::Down;
-            ++downs_;
-            went_down = true;
-        }
-        for (const Entry &x : entries_)
-            if (x.state != HealthState::Down)
-                ++usable_now;
-    }
-    if (went_down) {
-        down_counter_.add();
-        healthy_gauge_.set(static_cast<double>(usable_now));
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    Entry &e = entries_.at(i);
+    ++e.consecutive_failures;
+    if (e.state == HealthState::Healthy)
+        e.state = HealthState::Suspect;
+    if (e.state != HealthState::Suspect ||
+        e.consecutive_failures < fail_threshold_)
+        return;
+    e.state = HealthState::Down;
+    downs_.add();
+    healthy_gauge_.set(static_cast<double>(usableLocked()));
 }
 
 std::size_t
 HealthTable::usableCount() const
 {
     std::lock_guard<std::mutex> lk(mu_);
+    return usableLocked();
+}
+
+std::size_t
+HealthTable::usableLocked() const
+{
     std::size_t n = 0;
     for (const Entry &e : entries_)
         if (e.state != HealthState::Down)
             ++n;
     return n;
-}
-
-std::uint64_t
-HealthTable::transitionsUp() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return ups_;
-}
-
-std::uint64_t
-HealthTable::transitionsDown() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return downs_;
 }
 
 JsonValue

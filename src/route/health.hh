@@ -72,8 +72,8 @@ class HealthTable
     std::size_t usableCount() const;
 
     /** Lifetime transition tallies (stats replies and the bench). */
-    std::uint64_t transitionsUp() const;
-    std::uint64_t transitionsDown() const;
+    std::uint64_t transitionsUp() const { return ups_.value(); }
+    std::uint64_t transitionsDown() const { return downs_.value(); }
 
     /** Per-backend state array for stats replies:
      *  [{"state":...,"consecutive_failures":N}, ...]. */
@@ -89,18 +89,15 @@ class HealthTable
     std::size_t size_ = 0;
     int fail_threshold_ = 2;
 
+    /** Backends not Down; caller holds mu_. */
+    std::size_t usableLocked() const;
+
     mutable std::mutex mu_;
     // ramp-lint: guarded_by(mu_)
     std::vector<Entry> entries_;
-    // ramp-lint: guarded_by(mu_)
-    std::uint64_t ups_ = 0;
-    // ramp-lint: guarded_by(mu_)
-    std::uint64_t downs_ = 0;
 
-    telemetry::Counter up_counter_ =
-        telemetry::counter("route.health_up");
-    telemetry::Counter down_counter_ =
-        telemetry::counter("route.health_down");
+    telemetry::Tally ups_{telemetry::counter("route.health_up")};
+    telemetry::Tally downs_{telemetry::counter("route.health_down")};
     telemetry::Gauge healthy_gauge_ =
         telemetry::gauge("route.healthy_backends");
 };

@@ -11,30 +11,20 @@
  * so scripts can use an ephemeral port without racing the daemon.
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/fault.hh"
 #include "route/router.hh"
+#include "serve/host.hh"
 #include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
 
 namespace {
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void
-onSignal(int sig)
-{
-    g_signal = sig;
-}
 
 void
 usage(const char *prog, std::FILE *out)
@@ -138,49 +128,17 @@ main(int argc, char **argv)
         badFlag(prog, "--backends is required");
     if (!metrics_path.empty())
         telemetry::writeFilesAtExit(metrics_path, "");
-    if (fault_seed != 0 && fault_plan.empty())
-        util::fatal("--fault-seed requires --fault-plan");
-    if (!fault_plan.empty()) {
-        auto plan = fault::loadFaultPlan(fault_plan);
-        if (!plan)
-            util::fatal(
-                util::cat("--fault-plan: ", plan.error().str()));
-        if (fault_seed != 0)
-            plan.value().seed = fault_seed;
-        fault::installFaultPlan(plan.value());
-        opts.retry.seed = plan.value().seed;
-    }
-
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    // A backend dying mid-write must surface as a write error, not
-    // kill the router.
-    std::signal(SIGPIPE, SIG_IGN);
+    if (auto seed = fault::installFaultFlags(fault_plan, fault_seed))
+        opts.retry.seed = *seed;
+    serve::installDrainSignals();
 
     route::Router router(opts);
     if (auto started = router.start(); !started)
         util::fatal(util::cat("ramp_routed: ",
                               started.error().str()));
 
-    std::fprintf(stdout, "ramp_routed: listening on 127.0.0.1:%u\n",
-                 router.port());
-    std::fflush(stdout);
-    if (!port_file.empty()) {
-        // Written after listen() succeeds, so a watcher that sees the
-        // file can connect immediately.
-        std::ofstream out(port_file);
-        out << router.port() << "\n";
-        if (!out)
-            util::fatal(util::cat("cannot write --port-file ",
-                                  port_file));
-    }
-
-    while (g_signal == 0 && !router.draining())
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(100));
-
-    std::fprintf(stderr, "ramp_routed: draining (%s)\n",
-                 g_signal ? "signal" : "shutdown request");
+    serve::waitForDrain("ramp_routed", router.port(), port_file,
+                        [&] { return router.draining(); });
     router.stop();
     return 0;
 }

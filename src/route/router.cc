@@ -1,7 +1,6 @@
 #include "route/router.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "fault/fault.hh"
@@ -18,25 +17,30 @@ using util::JsonValue;
 using util::RampError;
 using util::Result;
 
-namespace {
-
-std::uint64_t
-load(const std::atomic<std::uint64_t> &v)
-{
-    return v.load(std::memory_order_relaxed);
-}
-
-} // namespace
-
 Router::Router(RouterOptions opts)
     : opts_(std::move(opts)),
       ring_(opts_.backends.size(), opts_.vnodes),
       health_(opts_.backends.size(), opts_.fail_threshold),
       attempts_(std::make_unique<std::atomic<std::uint64_t>[]>(
-          opts_.backends.size()))
+          opts_.backends.size())),
+      host_(serve::HostOptions{opts_.port, opts_.max_frame_bytes,
+                               opts_.idle_timeout_ms,
+                               opts_.io_timeout_ms},
+            serve::HostTallies{connections_, requests_,
+                               bad_requests_},
+            [this] {
+                // The backend links live in the handler, so each
+                // reader thread owns its own.
+                return [this, links = std::make_shared<BackendLinks>()](
+                           const std::shared_ptr<
+                               serve::ConnectionHost::Connection> &conn,
+                           Request req, const std::string &payload,
+                           std::uint64_t) {
+                    host_.write(*conn,
+                                handleRequest(req, payload, *links));
+                };
+            })
 {
-    for (std::size_t b = 0; b < opts_.backends.size(); ++b)
-        attempts_[b].store(0, std::memory_order_relaxed);
 }
 
 Router::~Router()
@@ -50,147 +54,7 @@ Router::start()
     if (opts_.backends.empty())
         return RampError{ErrorCode::InvalidInput,
                          "router needs at least one backend"};
-    auto listener = util::listenTcp(opts_.port);
-    if (!listener)
-        return listener.error();
-    listener_ = std::move(listener.value());
-    port_ = listener_.port;
-    started_.store(true, std::memory_order_release);
-    acceptor_ = std::thread([this] { acceptLoop(); });
-    prober_ = std::thread([this] { probeLoop(); });
-    return {};
-}
-
-void
-Router::requestDrain()
-{
-    {
-        std::lock_guard<std::mutex> lk(stop_mu_);
-        draining_.store(true, std::memory_order_release);
-    }
-    stop_cv_.notify_all();
-}
-
-void
-Router::wait()
-{
-    if (!started_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard<std::mutex> lk(done_mu_);
-    if (joined_)
-        return;
-    if (acceptor_.joinable())
-        acceptor_.join();
-    if (prober_.joinable())
-        prober_.join();
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard<std::mutex> cl(conns_mu_);
-        conns.swap(conns_);
-    }
-    // Half-close every client connection so parked readers wake.
-    for (auto &conn : conns)
-        conn->sock.shutdownBoth();
-    for (auto &conn : conns)
-        if (conn->thread.joinable())
-            conn->thread.join();
-    joined_ = true;
-}
-
-void
-Router::stop()
-{
-    if (!started_.load(std::memory_order_acquire))
-        return;
-    requestDrain();
-    wait();
-}
-
-void
-Router::sleepFor(int ms)
-{
-    if (ms <= 0)
-        return;
-    std::unique_lock<std::mutex> lk(stop_mu_);
-    stop_cv_.wait_for(lk, std::chrono::milliseconds(ms), [this] {
-        return draining_.load(std::memory_order_acquire);
-    });
-}
-
-void
-Router::acceptLoop()
-{
-    while (!draining()) {
-        auto accepted = util::acceptTcp(listener_.socket, 200);
-        // Reap finished readers so the connection table tracks live
-        // peers, not history. Only joined ones: a reader finishing
-        // between the two passes would otherwise drop the last
-        // reference to its own joinable thread and terminate.
-        {
-            std::lock_guard<std::mutex> lk(conns_mu_);
-            for (auto &conn : conns_) {
-                if (conn->done.load(std::memory_order_acquire) &&
-                    conn->thread.joinable())
-                    conn->thread.join();
-            }
-            conns_.erase(
-                std::remove_if(
-                    conns_.begin(), conns_.end(),
-                    [](const std::shared_ptr<Connection> &c) {
-                        return c->done.load(
-                                   std::memory_order_acquire) &&
-                               !c->thread.joinable();
-                    }),
-                conns_.end());
-        }
-        if (!accepted)
-            continue; // Timeout poll or transient accept error.
-        connections_.add();
-        n_connections_.fetch_add(1, std::memory_order_relaxed);
-        auto conn = std::make_shared<Connection>();
-        conn->sock = std::move(accepted.value());
-        {
-            std::lock_guard<std::mutex> lk(conns_mu_);
-            conns_.push_back(conn);
-        }
-        conn->thread =
-            std::thread([this, conn] { clientLoop(conn); });
-    }
-}
-
-void
-Router::clientLoop(const std::shared_ptr<Connection> &conn)
-{
-    BackendLinks links;
-    while (!draining()) {
-        auto frame = util::readFrame(conn->sock, opts_.max_frame_bytes,
-                                     opts_.idle_timeout_ms);
-        if (!frame || !frame.value().has_value())
-            break; // Idle timeout, torn stream, or clean close.
-        const std::string &payload = *frame.value();
-        requests_.add();
-        n_requests_.fetch_add(1, std::memory_order_relaxed);
-
-        std::string reply;
-        auto parsed = serve::parseRequest(payload);
-        if (!parsed) {
-            bad_requests_.add();
-            n_bad_requests_.fetch_add(1, std::memory_order_relaxed);
-            reply = serve::encodeErrorReply(
-                0, serve::err_bad_request,
-                parsed.error().message, 0);
-        } else {
-            reply = handleRequest(parsed.value(), payload, links);
-        }
-        if (auto written =
-                util::writeFrame(conn->sock, reply,
-                                 opts_.max_frame_bytes,
-                                 opts_.io_timeout_ms);
-            !written)
-            break;
-    }
-    conn->sock.shutdownBoth();
-    conn->done.store(true, std::memory_order_release);
+    return host_.start([this] { probeLoop(); });
 }
 
 std::string
@@ -204,19 +68,8 @@ Router::handleRequest(const Request &req, const std::string &payload,
         return serve::encodeResultReply(req.id, statsJson(),
                                         req.version);
       }
-      case RequestType::Hello: {
-        JsonValue result = JsonValue::makeObject();
-        result.set("v_min", JsonValue::makeNumber(
-                                serve::protocol_version_min));
-        result.set("v_max", JsonValue::makeNumber(
-                                serve::protocol_version_max));
-        result.set("negotiated_v",
-                   JsonValue::makeNumber(
-                       std::min(req.max_v,
-                                serve::protocol_version_max)));
-        return serve::encodeResultReply(req.id, std::move(result),
-                                        req.version);
-      }
+      case RequestType::Hello:
+        return serve::encodeHelloReply(req);
       case RequestType::Shutdown: {
         requestDrain();
         JsonValue result = JsonValue::makeObject();
@@ -226,7 +79,6 @@ Router::handleRequest(const Request &req, const std::string &payload,
       }
       case RequestType::CacheAppend: {
         bad_requests_.add();
-        n_bad_requests_.fetch_add(1, std::memory_order_relaxed);
         return serve::encodeErrorReply(
             req.id, serve::err_bad_request,
             "cache_append is the backends' replication verb; the "
@@ -290,8 +142,7 @@ Router::forward(const Request &req, const std::string &payload,
          ++attempt) {
         if (attempt > 0) {
             retries_.add();
-            n_retries_.fetch_add(1, std::memory_order_relaxed);
-            sleepFor(opts_.retry.delayMs(op, attempt));
+            host_.sleepFor(opts_.retry.delayMs(op, attempt));
             if (draining())
                 return serve::encodeErrorReply(
                     req.id, serve::err_shutting_down,
@@ -315,7 +166,6 @@ Router::forward(const Request &req, const std::string &payload,
         tried[b] = 1;
         if (prev != n && b != prev) {
             failovers_.add();
-            n_failovers_.fetch_add(1, std::memory_order_relaxed);
         }
         prev = b;
 
@@ -323,7 +173,6 @@ Router::forward(const Request &req, const std::string &payload,
         if (fwd) {
             health_.observeSuccess(b);
             forwarded_.add();
-            n_forwarded_.fetch_add(1, std::memory_order_relaxed);
             return std::move(fwd.value());
         }
         // Passive health evidence: the probe thread would take a
@@ -333,7 +182,6 @@ Router::forward(const Request &req, const std::string &payload,
     }
 
     no_backend_.add();
-    n_no_backend_.fetch_add(1, std::memory_order_relaxed);
     return serve::encodeErrorReply(
         req.id, serve::err_no_backend,
         util::cat("no healthy backend for shard key '", key,
@@ -383,7 +231,6 @@ Router::probeLoop()
             if (draining())
                 break;
             probes_.add();
-            n_probes_.fetch_add(1, std::memory_order_relaxed);
             const std::uint16_t port = opts_.backends[b];
             bool ok = false;
             const std::uint64_t attempt_no =
@@ -399,20 +246,21 @@ Router::probeLoop()
                 copts.io_timeout_ms = opts_.io_timeout_ms;
                 auto client = serve::Client::connect(copts);
                 if (client) {
-                    auto stats = client.value().stats();
-                    ok = stats.ok();
+                    serve::Request stats;
+                    stats.type = RequestType::Stats;
+                    ok = serve::Client::unwrap(
+                             client.value().call(std::move(stats)))
+                             .ok();
                 }
             }
             if (ok) {
                 health_.observeSuccess(b);
             } else {
                 probe_failures_.add();
-                n_probe_failures_.fetch_add(
-                    1, std::memory_order_relaxed);
                 health_.observeFailure(b);
             }
         }
-        sleepFor(opts_.probe_interval_ms);
+        host_.sleepFor(opts_.probe_interval_ms);
     }
 }
 
@@ -430,15 +278,15 @@ Router::statsJson() const
     auto num = [](std::uint64_t v) {
         return JsonValue::makeNumber(static_cast<double>(v));
     };
-    out.set("connections", num(load(n_connections_)));
-    out.set("requests", num(load(n_requests_)));
-    out.set("forwarded", num(load(n_forwarded_)));
-    out.set("retries", num(load(n_retries_)));
-    out.set("failovers", num(load(n_failovers_)));
-    out.set("no_backend", num(load(n_no_backend_)));
-    out.set("bad_requests", num(load(n_bad_requests_)));
-    out.set("probes", num(load(n_probes_)));
-    out.set("probe_failures", num(load(n_probe_failures_)));
+    out.set("connections", num(connections_.value()));
+    out.set("requests", num(requests_.value()));
+    out.set("forwarded", num(forwarded_.value()));
+    out.set("retries", num(retries_.value()));
+    out.set("failovers", num(failovers_.value()));
+    out.set("no_backend", num(no_backend_.value()));
+    out.set("bad_requests", num(bad_requests_.value()));
+    out.set("probes", num(probes_.value()));
+    out.set("probe_failures", num(probe_failures_.value()));
     out.set("health_up", num(health_.transitionsUp()));
     out.set("health_down", num(health_.transitionsDown()));
     JsonValue backends = health_.toJson();

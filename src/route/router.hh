@@ -30,26 +30,27 @@
  *    retry budget is spent, the client gets an err_no_backend error
  *    reply -- the router never converts a dead backend into a hang.
  *
- * Threading: one acceptor, one reader thread per client connection
- * (which also owns that connection's pool of backend sockets -- no
- * cross-thread sharing), one probe thread.
+ * Threading: the connection lifecycle -- listener, acceptor, one
+ * reader thread per client connection, bad-input answers, drain and
+ * join -- is the serve::ConnectionHost both daemons share
+ * (serve/host.hh). Each reader owns its connection's pool of backend
+ * sockets (no cross-thread sharing); the router's own thread is the
+ * health prober.
  */
 
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "route/health.hh"
 #include "route/retry.hh"
 #include "route/ring.hh"
+#include "serve/host.hh"
 #include "serve/protocol.hh"
 #include "util/json.hh"
 #include "util/net.hh"
@@ -99,22 +100,24 @@ class Router
     [[nodiscard]] util::Result<void> start();
 
     /** The bound port (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return host_.port(); }
 
     /** True once a drain has begun. */
-    bool draining() const
-    {
-        return draining_.load(std::memory_order_acquire);
-    }
+    bool draining() const { return host_.draining(); }
 
     /** Begin graceful drain (idempotent, non-blocking). */
-    void requestDrain();
+    void requestDrain() { host_.requestDrain(); }
 
     /** Block until the drain completes and all threads are joined. */
-    void wait();
+    void wait() { host_.wait(); }
 
     /** requestDrain() + wait(). Safe to call repeatedly. */
-    void stop();
+    void
+    stop()
+    {
+        requestDrain();
+        wait();
+    }
 
     /** Health table (tests and the bench assert transitions). */
     const HealthTable &health() const { return health_; }
@@ -134,20 +137,9 @@ class Router
     util::JsonValue statsJson() const;
 
   private:
-    /** One accepted client connection. Its reader thread owns the
-     *  backend socket pool, so no per-connection locking. */
-    struct Connection
-    {
-        util::Socket sock;
-        std::thread thread;
-        std::atomic<bool> done{false}; ///< Reader exited (reapable).
-    };
-
-    /** The reader thread's cached backend connections. */
+    /** A reader thread's cached backend connections. */
     using BackendLinks = std::map<std::size_t, util::Socket>;
 
-    void acceptLoop();
-    void clientLoop(const std::shared_ptr<Connection> &conn);
     void probeLoop();
 
     /** Answer one parsed request: inline verbs locally, everything
@@ -168,62 +160,33 @@ class Router
     forwardOnce(BackendLinks &links, std::size_t b,
                 const std::string &payload);
 
-    /** Drain-aware sleep (returns early when draining begins). */
-    void sleepFor(int ms);
-
     RouterOptions opts_;
     HashRing ring_;
     HealthTable health_;
-
-    util::Listener listener_;
-    std::uint16_t port_ = 0;
-    std::thread acceptor_;
-    std::thread prober_;
-    std::atomic<bool> started_{false};
-    std::atomic<bool> draining_{false};
-
-    mutable std::mutex conns_mu_;
-    // ramp-lint: guarded_by(conns_mu_)
-    std::vector<std::shared_ptr<Connection>> conns_;
-
-    std::mutex stop_mu_;
-    std::condition_variable stop_cv_;
-
-    std::mutex done_mu_;
-    // ramp-lint: guarded_by(done_mu_): joined_
-    bool joined_ = false;
 
     /** Monotonic connect-attempt ordinals per backend (the
      *  deterministic conn-refuse fault key). */
     std::unique_ptr<std::atomic<std::uint64_t>[]> attempts_;
 
-    telemetry::Counter connections_ =
-        telemetry::counter("route.connections");
-    telemetry::Counter requests_ =
-        telemetry::counter("route.requests");
-    telemetry::Counter forwarded_ =
-        telemetry::counter("route.forwarded");
-    telemetry::Counter retries_ = telemetry::counter("route.retries");
-    telemetry::Counter failovers_ =
-        telemetry::counter("route.failovers");
-    telemetry::Counter no_backend_ =
-        telemetry::counter("route.no_backend");
-    telemetry::Counter bad_requests_ =
-        telemetry::counter("route.bad_requests");
-    telemetry::Counter probes_ = telemetry::counter("route.probes");
-    telemetry::Counter probe_failures_ =
-        telemetry::counter("route.probe_failures");
+    telemetry::Tally connections_{
+        telemetry::counter("route.connections")};
+    telemetry::Tally requests_{telemetry::counter("route.requests")};
+    telemetry::Tally forwarded_{
+        telemetry::counter("route.forwarded")};
+    telemetry::Tally retries_{telemetry::counter("route.retries")};
+    telemetry::Tally failovers_{
+        telemetry::counter("route.failovers")};
+    telemetry::Tally no_backend_{
+        telemetry::counter("route.no_backend")};
+    telemetry::Tally bad_requests_{
+        telemetry::counter("route.bad_requests")};
+    telemetry::Tally probes_{telemetry::counter("route.probes")};
+    telemetry::Tally probe_failures_{
+        telemetry::counter("route.probe_failures")};
 
-    /** Plain tallies mirrored into statsJson(). */
-    std::atomic<std::uint64_t> n_connections_{0};
-    std::atomic<std::uint64_t> n_requests_{0};
-    std::atomic<std::uint64_t> n_forwarded_{0};
-    std::atomic<std::uint64_t> n_retries_{0};
-    std::atomic<std::uint64_t> n_failovers_{0};
-    std::atomic<std::uint64_t> n_no_backend_{0};
-    std::atomic<std::uint64_t> n_bad_requests_{0};
-    std::atomic<std::uint64_t> n_probes_{0};
-    std::atomic<std::uint64_t> n_probe_failures_{0};
+    /** Last member: its destructor joins every thread that uses the
+     *  members above. */
+    serve::ConnectionHost host_;
 };
 
 } // namespace route

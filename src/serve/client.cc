@@ -67,90 +67,20 @@ Client::call(Request req)
 }
 
 Result<JsonValue>
-Client::unwrap(Reply reply)
+Client::unwrap(Result<Reply> reply)
 {
-    if (reply.ok)
-        return std::move(reply.result);
-    const ErrorCode code = replyErrorCode(reply.error_code);
+    if (!reply)
+        return reply.error();
+    if (reply.value().ok)
+        return std::move(reply.value().result);
+    const ErrorCode code = replyErrorCode(reply.value().error_code);
     // Keep the wire code in the message only when the mapping is
     // lossy (e.g. "bad-request" -> InvalidInput), so str() does not
     // print the same code twice.
-    std::string message = reply.error_message;
-    if (reply.error_code != util::errorCodeName(code))
-        message = util::cat(reply.error_code, ": ", message);
+    std::string message = reply.value().error_message;
+    if (reply.value().error_code != util::errorCodeName(code))
+        message = util::cat(reply.value().error_code, ": ", message);
     return RampError{code, std::move(message)};
-}
-
-Result<JsonValue>
-Client::evaluate(const std::string &app, drm::AdaptationSpace space,
-                 std::size_t config, double t_qual_k)
-{
-    Request req;
-    req.type = RequestType::Evaluate;
-    req.app = app;
-    req.space = space;
-    req.config = config;
-    req.t_qual_k = t_qual_k;
-    auto reply = call(std::move(req));
-    if (!reply)
-        return reply.error();
-    return unwrap(std::move(reply.value()));
-}
-
-Result<JsonValue>
-Client::selectDrm(const std::string &app, drm::AdaptationSpace space,
-                  double t_qual_k)
-{
-    Request req;
-    req.type = RequestType::SelectDrm;
-    req.app = app;
-    req.space = space;
-    req.t_qual_k = t_qual_k;
-    auto reply = call(std::move(req));
-    if (!reply)
-        return reply.error();
-    return unwrap(std::move(reply.value()));
-}
-
-Result<JsonValue>
-Client::selectDtm(const std::string &app, drm::AdaptationSpace space,
-                  double t_design_k, double t_qual_k)
-{
-    Request req;
-    req.type = RequestType::SelectDtm;
-    req.app = app;
-    req.space = space;
-    req.t_design_k = t_design_k;
-    req.t_qual_k = t_qual_k;
-    auto reply = call(std::move(req));
-    if (!reply)
-        return reply.error();
-    return unwrap(std::move(reply.value()));
-}
-
-Result<JsonValue>
-Client::stats()
-{
-    Request req;
-    req.type = RequestType::Stats;
-    auto reply = call(std::move(req));
-    if (!reply)
-        return reply.error();
-    return unwrap(std::move(reply.value()));
-}
-
-Result<void>
-Client::requestShutdown()
-{
-    Request req;
-    req.type = RequestType::Shutdown;
-    auto reply = call(std::move(req));
-    if (!reply)
-        return reply.error();
-    auto result = unwrap(std::move(reply.value()));
-    if (!result)
-        return result.error();
-    return {};
 }
 
 Result<Session>
@@ -173,8 +103,7 @@ Session::open(ClientOptions opts, int max_v)
         // failing the connection.
         if (reply.value().error_code == err_bad_request)
             return Session(std::move(client.value()), 0);
-        auto err = Client::unwrap(std::move(reply.value()));
-        return err.error();
+        return Client::unwrap(std::move(reply)).error();
     }
     const JsonValue *negotiated =
         reply.value().result.find("negotiated_v");
@@ -200,10 +129,7 @@ Result<JsonValue>
 Session::callUnwrap(Request req)
 {
     req.version = version_;
-    auto reply = client_.call(std::move(req));
-    if (!reply)
-        return reply.error();
-    return Client::unwrap(std::move(reply.value()));
+    return Client::unwrap(client_.call(std::move(req)));
 }
 
 Result<JsonValue>
@@ -254,15 +180,12 @@ Session::stats()
     return callUnwrap(std::move(req));
 }
 
-Result<void>
+Result<JsonValue>
 Session::requestShutdown()
 {
     Request req;
     req.type = RequestType::Shutdown;
-    auto result = callUnwrap(std::move(req));
-    if (!result)
-        return result.error();
-    return {};
+    return callUnwrap(std::move(req));
 }
 
 Result<JsonValue>

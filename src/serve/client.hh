@@ -14,10 +14,13 @@
  * down" (go away) from evaluation failures (non-convergence and
  * friends travel the wire structurally).
  *
- * Client speaks the legacy v0 wire shape, unchanged. Session is the
- * versioned surface: open() negotiates the protocol version once
+ * Client is the raw-frame surface: it sends whatever Request it is
+ * given (v0 unless the caller stamps a version) and hands back the
+ * decoded Reply; unwrap() turns that into value-or-error. Session is
+ * the one typed surface: open() negotiates the protocol version once
  * with a hello (falling back to v0 against a server that predates
- * hello), then every typed call is sent at the negotiated version.
+ * hello), then every typed call is sent at the negotiated version --
+ * at v0 the same bytes a hand-built v0 Request produces.
  * The v2 fleet verbs -- reportUsage() and remainingLifetime() --
  * refuse locally with InvalidInput when the negotiated version is
  * too old, so a client never sends a frame the server will reject.
@@ -71,30 +74,11 @@ class Client
     /** Pipelining: block for the next reply, whatever its id. */
     [[nodiscard]] util::Result<Reply> receiveReply();
 
-    /** call() an evaluate and unwrap the result object. */
-    [[nodiscard]] util::Result<util::JsonValue>
-    evaluate(const std::string &app, drm::AdaptationSpace space,
-             std::size_t config, double t_qual_k = 345.0);
-
-    /** call() a select_drm and unwrap the result object. */
-    [[nodiscard]] util::Result<util::JsonValue>
-    selectDrm(const std::string &app, drm::AdaptationSpace space,
-              double t_qual_k = 345.0);
-
-    /** call() a select_dtm and unwrap the result object. */
-    [[nodiscard]] util::Result<util::JsonValue>
-    selectDtm(const std::string &app, drm::AdaptationSpace space,
-              double t_design_k = 370.0, double t_qual_k = 345.0);
-
-    /** call() a stats request and unwrap the result object. */
-    [[nodiscard]] util::Result<util::JsonValue> stats();
-
-    /** Ask the server to begin its graceful drain. */
-    [[nodiscard]] util::Result<void> requestShutdown();
-
-    /** Turn a Reply into value-or-error (error replies become
-     *  RampErrors with replyErrorCode()). */
-    [[nodiscard]] static util::Result<util::JsonValue> unwrap(Reply reply);
+    /** Turn a call() outcome into value-or-error: transport errors
+     *  pass through, and error replies become RampErrors with
+     *  replyErrorCode(). */
+    [[nodiscard]] static util::Result<util::JsonValue>
+    unwrap(util::Result<Reply> reply);
 
   private:
     Client(util::Socket sock, ClientOptions opts)
@@ -130,10 +114,6 @@ class Session
     /** The negotiated protocol version (0 against a v0 server). */
     int version() const { return version_; }
 
-    /** The underlying connection (pipelining; sendRequest callers
-     *  must stamp Request::version themselves). */
-    Client &client() { return client_; }
-
     /** evaluate at the negotiated version. */
     [[nodiscard]] util::Result<util::JsonValue>
     evaluate(const std::string &app, drm::AdaptationSpace space,
@@ -152,8 +132,9 @@ class Session
     /** stats at the negotiated version. */
     [[nodiscard]] util::Result<util::JsonValue> stats();
 
-    /** Ask the server to begin its graceful drain. */
-    [[nodiscard]] util::Result<void> requestShutdown();
+    /** Ask the server to begin its graceful drain; the result is
+     *  {"draining":true}. */
+    [[nodiscard]] util::Result<util::JsonValue> requestShutdown();
 
     /**
      * v2: merge an AgingState delta document into the server's

@@ -587,6 +587,32 @@ encodeErrorReply(std::uint64_t id, std::string_view code,
     return util::writeJson(root);
 }
 
+std::string
+encodeReply(std::uint64_t id, Result<JsonValue> result, int version)
+{
+    if (!result)
+        return encodeErrorReply(id,
+                                util::errorCodeName(result.error().code),
+                                result.error().message, version);
+    return encodeResultReply(id, std::move(result.value()), version);
+}
+
+std::string
+encodeHelloReply(const Request &hello)
+{
+    // The negotiated version is min(client max, our max); the reply
+    // carries our whole range so older clients can tell what they
+    // are talking to.
+    JsonValue result = JsonValue::makeObject();
+    result.set("v_min", JsonValue::makeNumber(protocol_version_min));
+    result.set("v_max", JsonValue::makeNumber(protocol_version_max));
+    result.set("negotiated_v",
+               JsonValue::makeNumber(
+                   std::min(hello.max_v, protocol_version_max)));
+    return encodeResultReply(hello.id, std::move(result),
+                             hello.version);
+}
+
 Result<Reply>
 parseReply(std::string_view payload)
 {

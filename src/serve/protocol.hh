@@ -208,6 +208,16 @@ std::string encodeErrorReply(std::uint64_t id, std::string_view code,
                              std::string_view message,
                              int version = 0);
 
+/** Success reply for a value, or the error reply (util::errorCodeName
+ *  code) for an error. */
+std::string encodeReply(std::uint64_t id,
+                        util::Result<util::JsonValue> result,
+                        int version = 0);
+
+/** The answer to a hello: this build's version range and
+ *  min(hello.max_v, protocol_version_max) as the negotiated one. */
+std::string encodeHelloReply(const Request &hello);
+
 /** A decoded reply. */
 struct Reply
 {

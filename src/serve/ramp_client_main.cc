@@ -145,18 +145,8 @@ main(int argc, char **argv)
         usage(prog, stderr);
         util::fatal("need --port and a command");
     }
-    if (fault_seed != 0 && fault_plan.empty())
-        util::fatal("--fault-seed requires --fault-plan");
-    if (!fault_plan.empty()) {
-        auto plan = fault::loadFaultPlan(fault_plan);
-        if (!plan)
-            util::fatal(
-                util::cat("--fault-plan: ", plan.error().str()));
-        if (fault_seed != 0)
-            plan.value().seed = fault_seed;
-        fault::installFaultPlan(plan.value());
-        policy.seed = plan.value().seed;
-    }
+    if (auto seed = fault::installFaultFlags(fault_plan, fault_seed))
+        policy.seed = *seed;
 
     const std::string &command = words[0];
     const auto arity = [&](std::size_t lo, std::size_t hi) {
@@ -233,13 +223,8 @@ main(int argc, char **argv)
         }
         if (command == "shutdown") {
             arity(0, 0);
-            return [](serve::Session &session) -> Result {
-                auto done = session.requestShutdown();
-                if (!done)
-                    return done.error();
-                util::JsonValue out = util::JsonValue::makeObject();
-                out.set("draining", util::JsonValue::makeBool(true));
-                return out;
+            return [](serve::Session &session) {
+                return session.requestShutdown();
             };
         }
         if (command == "hello") {

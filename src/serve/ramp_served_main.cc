@@ -9,17 +9,15 @@
  * so scripts can use an ephemeral port without racing the daemon.
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fault/fault.hh"
+#include "serve/host.hh"
 #include "serve/replicator.hh"
 #include "serve/server.hh"
 #include "util/flags.hh"
@@ -27,14 +25,6 @@
 #include "util/telemetry.hh"
 
 namespace {
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void
-onSignal(int sig)
-{
-    g_signal = sig;
-}
 
 void
 usage(const char *prog, std::FILE *out)
@@ -153,23 +143,8 @@ main(int argc, char **argv)
 
     if (!metrics_path.empty())
         telemetry::writeFilesAtExit(metrics_path, "");
-    if (fault_seed != 0 && fault_plan.empty())
-        util::fatal("--fault-seed requires --fault-plan");
-    if (!fault_plan.empty()) {
-        auto plan = fault::loadFaultPlan(fault_plan);
-        if (!plan)
-            util::fatal(
-                util::cat("--fault-plan: ", plan.error().str()));
-        if (fault_seed != 0)
-            plan.value().seed = fault_seed;
-        fault::installFaultPlan(plan.value());
-    }
-
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    // A peer (or client) closing mid-write must surface as a write
-    // error, not kill the daemon.
-    std::signal(SIGPIPE, SIG_IGN);
+    fault::installFaultFlags(fault_plan, fault_seed);
+    serve::installDrainSignals();
 
     serve::EvaluationService service(service_opts);
     if (!aging_state_path.empty()) {
@@ -195,25 +170,8 @@ main(int argc, char **argv)
         replicator->start();
     }
 
-    std::fprintf(stdout, "ramp_served: listening on 127.0.0.1:%u\n",
-                 server.port());
-    std::fflush(stdout);
-    if (!port_file.empty()) {
-        // Written after listen() succeeds, so a watcher that sees the
-        // file can connect immediately.
-        std::ofstream out(port_file);
-        out << server.port() << "\n";
-        if (!out)
-            util::fatal(util::cat("cannot write --port-file ",
-                                  port_file));
-    }
-
-    while (g_signal == 0 && !server.draining())
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(100));
-
-    std::fprintf(stderr, "ramp_served: draining (%s)\n",
-                 g_signal ? "signal" : "shutdown request");
+    serve::waitForDrain("ramp_served", server.port(), port_file,
+                        [&] { return server.draining(); });
     server.stop();
     // Stop replication after the drain so appends from admitted
     // work still reach the peers' queues.

@@ -12,16 +12,6 @@ namespace serve {
 
 using util::JsonValue;
 
-namespace {
-
-std::uint64_t
-load(const std::atomic<std::uint64_t> &v)
-{
-    return v.load(std::memory_order_relaxed);
-}
-
-} // namespace
-
 Replicator::Replicator(drm::EvaluationCache &cache,
                        ReplicatorOptions opts)
     : cache_(cache), opts_(std::move(opts))
@@ -87,7 +77,6 @@ Replicator::onAppend(const std::string &key, const std::string &line)
             peer->queue.clear();
             peer->resync = true;
             resyncs_.add();
-            n_resyncs_.fetch_add(1, std::memory_order_relaxed);
         } else {
             peer->queue.emplace_back(key, line);
         }
@@ -109,13 +98,11 @@ Replicator::sendRecord(Client &client, const std::string &key,
     if (!reply)
         return false; // Transport failure: reconnect + resync.
     sent_.add();
-    n_sent_.fetch_add(1, std::memory_order_relaxed);
     if (!reply.value().ok) {
         // The peer rejected the record (malformed / stale): that is
         // a local problem, not a connection problem -- count it and
         // keep the stream alive.
         rejected_.add();
-        n_rejected_.fetch_add(1, std::memory_order_relaxed);
     }
     return true;
 }
@@ -132,7 +119,6 @@ Replicator::peerLoop(Peer &peer)
         auto client = Client::connect(copts);
         if (!client) {
             reconnects_.add();
-            n_reconnects_.fetch_add(1, std::memory_order_relaxed);
             std::unique_lock<std::mutex> lk(peer.mu);
             peer.cv.wait_for(
                 lk, std::chrono::milliseconds(backoff_ms), [this] {
@@ -195,10 +181,7 @@ Replicator::peerLoop(Peer &peer)
                 peer.queue.clear();
                 peer.resync = true;
                 resyncs_.add();
-                n_resyncs_.fetch_add(1, std::memory_order_relaxed);
                 reconnects_.add();
-                n_reconnects_.fetch_add(1,
-                                        std::memory_order_relaxed);
                 connected = false;
             }
         }
@@ -208,19 +191,14 @@ Replicator::peerLoop(Peer &peer)
 JsonValue
 Replicator::statsJson() const
 {
+    const auto num = [](double v) { return JsonValue::makeNumber(v); };
     JsonValue out = JsonValue::makeObject();
-    out.set("peers", JsonValue::makeNumber(
-                         static_cast<double>(peers_.size())));
-    out.set("sent", JsonValue::makeNumber(
-                        static_cast<double>(load(n_sent_))));
-    out.set("resyncs", JsonValue::makeNumber(
-                           static_cast<double>(load(n_resyncs_))));
+    out.set("peers", num(static_cast<double>(peers_.size())));
+    out.set("sent", num(static_cast<double>(sent_.value())));
+    out.set("resyncs", num(static_cast<double>(resyncs_.value())));
     out.set("reconnects",
-            JsonValue::makeNumber(
-                static_cast<double>(load(n_reconnects_))));
-    out.set("rejected",
-            JsonValue::makeNumber(
-                static_cast<double>(load(n_rejected_))));
+            num(static_cast<double>(reconnects_.value())));
+    out.set("rejected", num(static_cast<double>(rejected_.value())));
     return out;
 }
 

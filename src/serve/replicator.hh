@@ -113,19 +113,13 @@ class Replicator
     std::atomic<bool> started_{false};
     std::atomic<bool> stopping_{false};
 
-    telemetry::Counter sent_ = telemetry::counter("server.repl_sent");
-    telemetry::Counter resyncs_ =
-        telemetry::counter("server.repl_resyncs");
-    telemetry::Counter reconnects_ =
-        telemetry::counter("server.repl_reconnects");
-    telemetry::Counter rejected_ =
-        telemetry::counter("server.repl_rejected");
-
-    /** Plain tallies mirrored into statsJson(). */
-    std::atomic<std::uint64_t> n_sent_{0};
-    std::atomic<std::uint64_t> n_resyncs_{0};
-    std::atomic<std::uint64_t> n_reconnects_{0};
-    std::atomic<std::uint64_t> n_rejected_{0};
+    telemetry::Tally sent_{telemetry::counter("server.repl_sent")};
+    telemetry::Tally resyncs_{
+        telemetry::counter("server.repl_resyncs")};
+    telemetry::Tally reconnects_{
+        telemetry::counter("server.repl_reconnects")};
+    telemetry::Tally rejected_{
+        telemetry::counter("server.repl_rejected")};
 };
 
 } // namespace serve

@@ -1,9 +1,9 @@
 #include "serve/server.hh"
 
-// ramp-lint: guarded_by(conns_mu_): conns_
 // ramp-lint: guarded_by(queue_mu_): queue_
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -30,27 +30,14 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/**
- * Best-effort id recovery from a payload that failed strict parsing,
- * so the error reply still correlates when the client got only one
- * field wrong. 0 when even that much is unrecoverable.
- */
-std::uint64_t
-bestEffortId(std::string_view payload)
-{
-    const auto doc = util::parseJson(payload, nullptr);
-    if (!doc || !doc->isObject())
-        return 0;
-    const JsonValue *id = doc->find("id");
-    if (!id || !id->isNumber() || id->number < 0.0)
-        return 0;
-    return static_cast<std::uint64_t>(id->number);
-}
-
 } // namespace
 
 Server::Server(EvaluationService &service, ServerOptions opts)
-    : service_(service), opts_(std::move(opts))
+    : service_(service), opts_(std::move(opts)),
+      host_(HostOptions{opts_.port, opts_.max_frame_bytes,
+                        opts_.idle_timeout_ms, opts_.io_timeout_ms},
+            HostTallies{connections_, requests_, bad_requests_},
+            [this] { return std::bind_front(&Server::handle, this); })
 {
     if (opts_.queue_depth == 0)
         opts_.queue_depth = 1;
@@ -63,55 +50,19 @@ Server::~Server() { stop(); }
 Result<void>
 Server::start()
 {
-    if (started_.exchange(true))
-        return RampError{ErrorCode::InvalidInput,
-                         "server already started"};
-    auto listener = util::listenTcp(opts_.port);
-    if (!listener)
-        return listener.error();
-    listener_ = std::move(listener.value());
-    port_ = listener_.port;
-    acceptor_ = std::thread([this] { acceptLoop(); });
-    batcher_ = std::thread([this] { batchLoop(); });
-    return {};
+    return host_.start([this] { batchLoop(); });
 }
 
 void
 Server::requestDrain()
 {
     {
+        // Under queue_mu_, so admission and the batcher's wait see
+        // the flip atomically with the queue.
         std::lock_guard lock(queue_mu_);
-        draining_.store(true, std::memory_order_release);
+        host_.requestDrain();
     }
     queue_cv_.notify_all();
-}
-
-void
-Server::wait()
-{
-    if (!started_.load(std::memory_order_acquire))
-        return;
-    std::lock_guard done(done_mu_);
-    if (joined_)
-        return;
-    if (acceptor_.joinable())
-        acceptor_.join();
-    if (batcher_.joinable())
-        batcher_.join();
-    // Everything admitted has been answered; now wake any reader
-    // still parked on its socket and collect the threads.
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-        std::lock_guard lock(conns_mu_);
-        conns.swap(conns_);
-    }
-    for (auto &conn : conns) {
-        conn->sock.shutdownBoth();
-        if (conn->thread.joinable())
-            conn->thread.join();
-    }
-    listener_.socket.close();
-    joined_ = true;
 }
 
 void
@@ -122,93 +73,10 @@ Server::stop()
 }
 
 void
-Server::acceptLoop()
+Server::handle(const std::shared_ptr<Connection> &conn, Request req,
+               const std::string &payload, std::uint64_t seq)
 {
-    while (!draining()) {
-        auto accepted = util::acceptTcp(listener_.socket, 200);
-        // Reap finished readers so a long-lived daemon's connection
-        // table tracks live peers, not history.
-        {
-            std::lock_guard lock(conns_mu_);
-            for (auto &conn : conns_) {
-                if (conn->done.load(std::memory_order_acquire) &&
-                    conn->thread.joinable())
-                    conn->thread.join();
-            }
-            std::erase_if(conns_, [](const auto &conn) {
-                return conn->done.load(std::memory_order_acquire) &&
-                       !conn->thread.joinable();
-            });
-        }
-        if (!accepted) {
-            if (accepted.error().code == ErrorCode::Timeout)
-                continue;
-            util::warn(util::cat("serve: accept failed: ",
-                                 accepted.error().message));
-            break;
-        }
-        connections_.add();
-        n_connections_.fetch_add(1, std::memory_order_relaxed);
-        auto conn = std::make_shared<Connection>();
-        conn->sock = std::move(accepted.value());
-        {
-            std::lock_guard lock(conns_mu_);
-            conns_.push_back(conn);
-        }
-        conn->thread =
-            std::thread([this, conn] { connectionLoop(conn); });
-    }
-}
-
-void
-Server::connectionLoop(const std::shared_ptr<Connection> &conn)
-{
-    std::uint64_t seq = 0;
-    while (true) {
-        auto frame = util::readFrame(conn->sock,
-                                     opts_.max_frame_bytes,
-                                     opts_.idle_timeout_ms);
-        if (!frame) {
-            if (frame.error().code == ErrorCode::InvalidInput) {
-                // Oversized length prefix, or garbage bytes that
-                // misparsed as one: tell the peer why, then hang up
-                // (the stream is unframeable from here on).
-                bad_requests_.add();
-                n_bad_requests_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                sendReply(conn, "",
-                          encodeErrorReply(0, err_bad_request,
-                                           frame.error().message));
-            }
-            break; // Timeout (idle peer) or IoFailure: just drop.
-        }
-        if (!frame.value().has_value())
-            break; // Clean EOF at a frame boundary.
-        replyInline(conn, *frame.value(), seq++);
-    }
-    conn->done.store(true, std::memory_order_release);
-}
-
-void
-Server::replyInline(const std::shared_ptr<Connection> &conn,
-                    const std::string &payload, std::uint64_t seq)
-{
-    const std::string fault_key =
-        util::cat(payload, "#", seq);
-
-    auto parsed = parseRequest(payload);
-    if (!parsed) {
-        bad_requests_.add();
-        n_bad_requests_.fetch_add(1, std::memory_order_relaxed);
-        sendReply(conn, fault_key,
-                  encodeErrorReply(bestEffortId(payload),
-                                   err_bad_request,
-                                   parsed.error().message));
-        return;
-    }
-    Request req = std::move(parsed.value());
-    requests_.add();
-    n_requests_.fetch_add(1, std::memory_order_relaxed);
+    const std::string fault_key = util::cat(payload, "#", seq);
 
     switch (req.type) {
       case RequestType::Stats: {
@@ -229,61 +97,28 @@ Server::replyInline(const std::shared_ptr<Connection> &conn,
                                     req.version));
         return;
       }
-      case RequestType::Hello: {
-        // Capability negotiation never queues: the negotiated
-        // version is min(client max, server max), and the reply
-        // carries the server's whole range so older clients can
-        // tell what they are talking to.
+      case RequestType::Hello:
+        // Capability negotiation never queues.
         hellos_.add();
-        n_hellos_.fetch_add(1, std::memory_order_relaxed);
-        JsonValue result = JsonValue::makeObject();
-        result.set("v_min", JsonValue::makeNumber(
-                                protocol_version_min));
-        result.set("v_max", JsonValue::makeNumber(
-                                protocol_version_max));
-        result.set("negotiated_v",
-                   JsonValue::makeNumber(std::min(
-                       req.max_v, protocol_version_max)));
-        sendReply(conn, fault_key,
-                  encodeResultReply(req.id, std::move(result),
-                                    req.version));
+        sendReply(conn, fault_key, encodeHelloReply(req));
         return;
-      }
-      case RequestType::ReportUsage: {
+      case RequestType::ReportUsage:
         // Registry merge touches no evaluation state, so it is
         // answered inline from the reader thread.
         usage_reports_.add();
-        n_usage_reports_.fetch_add(1, std::memory_order_relaxed);
-        auto result = service_.reportUsage(req);
         sendReply(conn, fault_key,
-                  result
-                      ? encodeResultReply(req.id,
-                                          std::move(result.value()),
-                                          req.version)
-                      : encodeErrorReply(
-                            req.id,
-                            util::errorCodeName(result.error().code),
-                            result.error().message, req.version));
+                  encodeReply(req.id, service_.reportUsage(req),
+                              req.version));
         return;
-      }
-      case RequestType::CacheAppend: {
+      case RequestType::CacheAppend:
         // Peer replication touches only the cache's own locks, so it
         // is answered inline from the reader thread -- a replication
         // stream never competes with clients for batcher slots.
         cache_appends_.add();
-        n_cache_appends_.fetch_add(1, std::memory_order_relaxed);
-        auto result = service_.cacheAppend(req);
         sendReply(conn, fault_key,
-                  result
-                      ? encodeResultReply(req.id,
-                                          std::move(result.value()),
-                                          req.version)
-                      : encodeErrorReply(
-                            req.id,
-                            util::errorCodeName(result.error().code),
-                            result.error().message, req.version));
+                  encodeReply(req.id, service_.cacheAppend(req),
+                              req.version));
         return;
-      }
       case RequestType::Evaluate:
       case RequestType::SelectDrm:
       case RequestType::SelectDtm:
@@ -296,7 +131,7 @@ Server::replyInline(const std::shared_ptr<Connection> &conn,
     // means an immediate structured rejection, never a hang.
     {
         std::lock_guard lock(queue_mu_);
-        if (draining_.load(std::memory_order_acquire)) {
+        if (draining()) {
             sendReply(conn, fault_key,
                       encodeErrorReply(req.id, err_shutting_down,
                                        "server is draining",
@@ -305,7 +140,6 @@ Server::replyInline(const std::shared_ptr<Connection> &conn,
         }
         if (queue_.size() >= opts_.queue_depth) {
             rejected_.add();
-            n_rejected_.fetch_add(1, std::memory_order_relaxed);
             sendReply(
                 conn, fault_key,
                 encodeErrorReply(
@@ -331,8 +165,7 @@ Server::batchLoop()
         {
             std::unique_lock lock(queue_mu_);
             queue_cv_.wait(lock, [&] {
-                return !queue_.empty() ||
-                       draining_.load(std::memory_order_acquire);
+                return !queue_.empty() || draining();
             });
             if (queue_.empty())
                 return; // Draining and fully drained.
@@ -377,11 +210,8 @@ Server::runBatch(std::vector<Job> &batch)
         unique_points.push_back(&key);
         coalesced += jobs.size() - 1;
     }
-    if (coalesced) {
+    if (coalesced)
         coalesced_.add(coalesced);
-        n_coalesced_.fetch_add(coalesced,
-                               std::memory_order_relaxed);
-    }
 
     // Result has no default state; seed the slots with a placeholder
     // the parallel loop always overwrites.
@@ -401,6 +231,10 @@ Server::runBatch(std::vector<Job> &batch)
     for (std::size_t i = 0; i < unique_points.size(); ++i)
         point_index.emplace(*unique_points[i], i);
 
+    // Counted before the first reply goes out, so a client that has
+    // its answer also sees the batch in a stats reply.
+    batches_.add();
+    batch_size_.add(static_cast<double>(batch.size()));
     for (Job &job : batch) {
         const Request &req = job.req;
         Result<JsonValue> result =
@@ -418,21 +252,11 @@ Server::runBatch(std::vector<Job> &batch)
         } else {
             result = service_.select(req);
         }
-        std::string reply =
-            result ? encodeResultReply(req.id,
-                                       std::move(result.value()),
-                                       req.version)
-                   : encodeErrorReply(
-                         req.id,
-                         util::errorCodeName(result.error().code),
-                         result.error().message, req.version);
-        sendReply(job.conn, job.fault_key, reply);
+        sendReply(job.conn, job.fault_key,
+                  encodeReply(req.id, std::move(result),
+                              req.version));
         request_s_.add(secondsSince(job.admitted));
     }
-
-    batches_.add();
-    n_batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_size_.add(static_cast<double>(batch.size()));
     batch_s_.add(secondsSince(batch_t0));
 }
 
@@ -454,20 +278,14 @@ Server::sendReply(const std::shared_ptr<Connection> &conn,
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(delay_ms));
     }
-    std::lock_guard lock(conn->write_mu);
-    auto written = util::writeFrame(conn->sock, payload,
-                                    opts_.max_frame_bytes,
-                                    opts_.io_timeout_ms);
-    if (!written)
-        conn->sock.shutdownBoth();
+    host_.write(*conn, payload);
 }
 
 JsonValue
 Server::statsJson() const
 {
-    const auto load = [](const std::atomic<std::uint64_t> &c) {
-        return JsonValue::makeNumber(static_cast<double>(
-            c.load(std::memory_order_relaxed)));
+    const auto load = [](const telemetry::Tally &c) {
+        return JsonValue::makeNumber(static_cast<double>(c.value()));
     };
     std::size_t depth = 0;
     {
@@ -475,15 +293,15 @@ Server::statsJson() const
         depth = queue_.size();
     }
     JsonValue out = JsonValue::makeObject();
-    out.set("requests", load(n_requests_));
-    out.set("batches", load(n_batches_));
-    out.set("rejected", load(n_rejected_));
-    out.set("bad_requests", load(n_bad_requests_));
-    out.set("coalesced", load(n_coalesced_));
-    out.set("connections", load(n_connections_));
-    out.set("hellos", load(n_hellos_));
-    out.set("usage_reports", load(n_usage_reports_));
-    out.set("cache_appends", load(n_cache_appends_));
+    out.set("requests", load(requests_));
+    out.set("batches", load(batches_));
+    out.set("rejected", load(rejected_));
+    out.set("bad_requests", load(bad_requests_));
+    out.set("coalesced", load(coalesced_));
+    out.set("connections", load(connections_));
+    out.set("hellos", load(hellos_));
+    out.set("usage_reports", load(usage_reports_));
+    out.set("cache_appends", load(cache_appends_));
     out.set("queue_depth",
             JsonValue::makeNumber(static_cast<double>(depth)));
     out.set("draining", JsonValue::makeBool(draining()));

@@ -3,17 +3,16 @@
  * The RAMP evaluation daemon: a batched, backpressured TCP front-end
  * over EvaluationService.
  *
- * Threading model. One acceptor thread accepts loopback connections;
- * each connection gets a reader thread that parses frames and either
- * answers inline (stats, shutdown, malformed input, admission
- * rejections) or enqueues work; one batcher thread owns the
- * evaluation pool. The batcher pops up to batch_max queued requests,
- * coalesces evaluate requests that name the same (app, space, config)
- * point into a single evaluation (single-flight), fans the unique
- * points across the service's ThreadPool, and runs select requests
- * sequentially (they fan out on the pool themselves). Replies are
- * written under a per-connection write mutex, since the reader thread
- * (errors) and the batcher (results) both write.
+ * Threading model. Connections belong to the serve::ConnectionHost
+ * both daemons share (serve/host.hh): its reader threads hand the
+ * server each parsed request, which is answered inline (stats,
+ * shutdown, hello, report_usage, cache_append, admission
+ * rejections) or queued. The server's own thread is the batcher: it
+ * pops up to batch_max queued requests, coalesces evaluates naming
+ * the same (app, space, config) point into one evaluation
+ * (single-flight), fans the unique points across the service's
+ * ThreadPool, and runs selections one by one (they fan out on the
+ * pool themselves).
  *
  * Admission control. The request queue is bounded at queue_depth;
  * when it is full, new work is answered immediately with an
@@ -34,7 +33,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -42,12 +40,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "serve/host.hh"
 #include "serve/protocol.hh"
 #include "serve/service.hh"
-#include "util/net.hh"
 #include "util/telemetry.hh"
 
 namespace ramp {
@@ -87,19 +84,16 @@ class Server
     [[nodiscard]] util::Result<void> start();
 
     /** The bound port (valid after start()). */
-    std::uint16_t port() const { return port_; }
+    std::uint16_t port() const { return host_.port(); }
 
     /** True once a drain has begun (shutdown request or SIGTERM). */
-    bool draining() const
-    {
-        return draining_.load(std::memory_order_acquire);
-    }
+    bool draining() const { return host_.draining(); }
 
     /** Begin graceful drain (idempotent, non-blocking). */
     void requestDrain();
 
     /** Block until the drain completes and all threads are joined. */
-    void wait();
+    void wait() { host_.wait(); }
 
     /** requestDrain() + wait(). Safe to call repeatedly. */
     void stop();
@@ -108,14 +102,7 @@ class Server
     util::JsonValue statsJson() const;
 
   private:
-    /** One accepted connection's shared state. */
-    struct Connection
-    {
-        util::Socket sock;
-        std::thread thread;
-        std::mutex write_mu; ///< Reader + batcher both reply.
-        std::atomic<bool> done{false}; ///< Reader exited (reapable).
-    };
+    using Connection = ConnectionHost::Connection;
 
     /** One admitted request waiting for the batcher. */
     struct Job
@@ -128,17 +115,14 @@ class Server
         std::chrono::steady_clock::time_point admitted;
     };
 
-    void acceptLoop();
-    void connectionLoop(const std::shared_ptr<Connection> &conn);
     void batchLoop();
     void runBatch(std::vector<Job> &batch);
 
-    /** Answer one frame that never reaches the queue. */
-    void replyInline(const std::shared_ptr<Connection> &conn,
-                     const std::string &payload,
-                     std::uint64_t seq);
+    /** Answer one request inline, or admit it to the queue. */
+    void handle(const std::shared_ptr<Connection> &conn, Request req,
+                const std::string &payload, std::uint64_t seq);
 
-    /** Apply reply-time faults and write one frame (write_mu). */
+    /** Apply reply-time faults and write one frame. */
     void sendReply(const std::shared_ptr<Connection> &conn,
                    std::string_view fault_key,
                    const std::string &payload);
@@ -146,41 +130,25 @@ class Server
     EvaluationService &service_;
     ServerOptions opts_;
 
-    util::Listener listener_;
-    std::uint16_t port_ = 0;
-    std::thread acceptor_;
-    std::thread batcher_;
-    std::atomic<bool> started_{false};
-    std::atomic<bool> draining_{false};
-
-    mutable std::mutex conns_mu_;
-    // ramp-lint: guarded_by(conns_mu_)
-    std::vector<std::shared_ptr<Connection>> conns_;
-
     mutable std::mutex queue_mu_;
     std::condition_variable queue_cv_;
     // ramp-lint: guarded_by(queue_mu_)
     std::deque<Job> queue_;
 
-    std::mutex done_mu_;
-    bool joined_ = false;
-
-    telemetry::Counter requests_ =
-        telemetry::counter("server.requests");
-    telemetry::Counter batches_ = telemetry::counter("server.batches");
-    telemetry::Counter rejected_ =
-        telemetry::counter("server.rejected");
-    telemetry::Counter bad_requests_ =
-        telemetry::counter("server.bad_requests");
-    telemetry::Counter coalesced_ =
-        telemetry::counter("server.coalesced");
-    telemetry::Counter connections_ =
-        telemetry::counter("server.connections");
-    telemetry::Counter hellos_ = telemetry::counter("server.hellos");
-    telemetry::Counter usage_reports_ =
-        telemetry::counter("server.usage_reports");
-    telemetry::Counter cache_appends_ =
-        telemetry::counter("server.cache_appends");
+    telemetry::Tally requests_{telemetry::counter("server.requests")};
+    telemetry::Tally batches_{telemetry::counter("server.batches")};
+    telemetry::Tally rejected_{telemetry::counter("server.rejected")};
+    telemetry::Tally bad_requests_{
+        telemetry::counter("server.bad_requests")};
+    telemetry::Tally coalesced_{
+        telemetry::counter("server.coalesced")};
+    telemetry::Tally connections_{
+        telemetry::counter("server.connections")};
+    telemetry::Tally hellos_{telemetry::counter("server.hellos")};
+    telemetry::Tally usage_reports_{
+        telemetry::counter("server.usage_reports")};
+    telemetry::Tally cache_appends_{
+        telemetry::counter("server.cache_appends")};
     telemetry::Gauge queue_depth_ =
         telemetry::gauge("server.queue_depth");
     telemetry::Histogram request_s_ =
@@ -190,18 +158,9 @@ class Server
     telemetry::Histogram batch_size_ =
         telemetry::histogram("server.batch_size", 0.0, 64.0, 32);
 
-    /** Plain tallies mirrored into statsJson() (the telemetry
-     *  counters are per-thread and cheap, but a stats reply needs a
-     *  consistent point-in-time view without a registry snapshot). */
-    std::atomic<std::uint64_t> n_requests_{0};
-    std::atomic<std::uint64_t> n_batches_{0};
-    std::atomic<std::uint64_t> n_rejected_{0};
-    std::atomic<std::uint64_t> n_bad_requests_{0};
-    std::atomic<std::uint64_t> n_coalesced_{0};
-    std::atomic<std::uint64_t> n_connections_{0};
-    std::atomic<std::uint64_t> n_hellos_{0};
-    std::atomic<std::uint64_t> n_usage_reports_{0};
-    std::atomic<std::uint64_t> n_cache_appends_{0};
+    /** Last member: its destructor joins every thread that uses the
+     *  members above. */
+    ConnectionHost host_;
 };
 
 } // namespace serve

@@ -122,6 +122,41 @@ class Counter
     std::size_t slot_ = npos;
 };
 
+/**
+ * A counter that an object also reports itself (a daemon's stats
+ * reply, a cache's Stats): add() bumps the process-wide Counter and
+ * this instance's own tally, so two instances sharing one metric
+ * name in one process still each read back exactly their own count.
+ * Declare it from a literal name -- Tally x_{counter("a.b")} -- so
+ * the manifest lint sees the name.
+ */
+class Tally
+{
+  public:
+    explicit Tally(Counter counter) : counter_(counter) {}
+
+    Tally(const Tally &) = delete;
+    Tally &operator=(const Tally &) = delete;
+
+    void
+    add(std::uint64_t n = 1)
+    {
+        counter_.add(n);
+        n_.fetch_add(n, std::memory_order_relaxed);
+    }
+
+    /** This instance's total. */
+    std::uint64_t
+    value() const
+    {
+        return n_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    Counter counter_;
+    std::atomic<std::uint64_t> n_{0};
+};
+
 /** Handle to a named process-wide gauge (last value wins). */
 class Gauge
 {

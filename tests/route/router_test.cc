@@ -376,7 +376,10 @@ TEST_F(RouterTest, SameKeyAlwaysLandsOnItsShardHome)
     direct.port = cluster.backends[other]->port();
     auto client = serve::Client::connect(direct);
     ASSERT_TRUE(client.ok());
-    auto stats = client.value().stats();
+    serve::Request stats_req;
+    stats_req.type = serve::RequestType::Stats;
+    auto stats =
+        serve::Client::unwrap(client.value().call(stats_req));
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(
         stats.value().find("server")->find("batches")->number,
@@ -449,6 +452,69 @@ TEST_F(RouterTest, StatsAreAnsweredByTheRouterItself)
     EXPECT_EQ(stats.value().find("backends_total")->number, 2.0);
     ASSERT_NE(stats.value().find("backends"), nullptr);
     EXPECT_EQ(stats.value().find("backends")->array.size(), 2u);
+}
+
+/** The member names of a JSON object, in wire order. */
+std::vector<std::string>
+keysOf(const util::JsonValue &obj)
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : obj.object)
+        keys.push_back(key);
+    return keys;
+}
+
+TEST_F(RouterTest, StatsKeysArePinnedAndCountsArePerInstance)
+{
+    // Two backends in one process (the routed bench's shape) share
+    // every metric name, yet each stats reply counts its own
+    // traffic. No router here: its probes would add requests.
+    serve::Server a(*service_, serve::ServerOptions{});
+    serve::Server b(*service_, serve::ServerOptions{});
+    ASSERT_TRUE(a.start().ok());
+    ASSERT_TRUE(b.start().ok());
+    serve::Request stats_req;
+    stats_req.type = serve::RequestType::Stats;
+    const auto statsOf = [&](std::uint16_t port, int calls) {
+        serve::ClientOptions opts;
+        opts.port = port;
+        auto client = serve::Client::connect(opts);
+        EXPECT_TRUE(client.ok());
+        util::Result<util::JsonValue> stats =
+            util::RampError{util::ErrorCode::IoFailure, "no call"};
+        for (int i = 0; i < calls && client.ok(); ++i)
+            stats = serve::Client::unwrap(client.value().call(stats_req));
+        EXPECT_TRUE(stats.ok());
+        return stats.ok() ? stats.value() : util::JsonValue{};
+    };
+    const util::JsonValue stats_a = statsOf(a.port(), 3);
+    const util::JsonValue stats_b = statsOf(b.port(), 1);
+    const util::JsonValue *server_a = stats_a.find("server");
+    const util::JsonValue *server_b = stats_b.find("server");
+    ASSERT_NE(server_a, nullptr);
+    ASSERT_NE(server_b, nullptr);
+    EXPECT_EQ(keysOf(*server_a),
+              (std::vector<std::string>{
+                  "requests", "batches", "rejected", "bad_requests",
+                  "coalesced", "connections", "hellos",
+                  "usage_reports", "cache_appends", "queue_depth",
+                  "draining"}));
+    // A stats reply is built after its own request is counted.
+    EXPECT_EQ(server_a->find("requests")->number, 3.0);
+    EXPECT_EQ(server_b->find("requests")->number, 1.0);
+    EXPECT_EQ(server_a->find("connections")->number, 1.0);
+    EXPECT_EQ(server_b->find("connections")->number, 1.0);
+
+    Cluster cluster = makeCluster(2);
+    const util::JsonValue routed = statsOf(cluster.router->port(), 1);
+    EXPECT_EQ(keysOf(routed),
+              (std::vector<std::string>{
+                  "router", "backends_total", "backends_usable",
+                  "connections", "requests", "forwarded", "retries",
+                  "failovers", "no_backend", "bad_requests", "probes",
+                  "probe_failures", "health_up", "health_down",
+                  "backends", "draining"}));
+    EXPECT_EQ(routed.find("requests")->number, 1.0);
 }
 
 TEST_F(RouterTest, CacheAppendFromAClientIsRejected)

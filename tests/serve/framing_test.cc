@@ -5,24 +5,35 @@
  * is read, garbage ahead of a frame detected, half-closed sockets,
  * and read deadlines. Also pins the transport rule that every stream
  * socket runs with Nagle's algorithm off, on both ends and on the
- * accepted sockets of both daemons.
+ * accepted sockets of both daemons, and the connection host both
+ * daemons share: the same answers to bad input, and accepts that
+ * resume once a descriptor frees up.
  */
 
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "route/router.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "util/logging.hh"
 #include "util/net.hh"
+#include "util/telemetry.hh"
 
 namespace ramp {
 namespace util {
@@ -333,27 +344,174 @@ expectPipelinedStats(std::uint16_t port)
     EXPECT_EQ(answered, sent);
 }
 
+/** A one-app, in-memory-cache service with short simulations. */
+serve::ServiceOptions
+tinyService()
+{
+    serve::ServiceOptions opts;
+    opts.cache_path = "";
+    opts.threads = 1;
+    opts.max_apps = 1;
+    opts.eval_params.warmup_uops = 40'000;
+    opts.eval_params.measure_uops = 60'000;
+    return opts;
+}
+
+/** A started serve::Server and a route::Router fronting it. */
+struct Daemons
+{
+    serve::EvaluationService service{tinyService()};
+    serve::Server server{service, serve::ServerOptions{}};
+    std::unique_ptr<route::Router> router;
+
+    Daemons()
+    {
+        auto started = server.start();
+        EXPECT_TRUE(started.ok()) << started.error().str();
+        route::RouterOptions router_opts;
+        router_opts.backends = {server.port()};
+        router = std::make_unique<route::Router>(router_opts);
+        auto routed = router->start();
+        EXPECT_TRUE(routed.ok()) << routed.error().str();
+    }
+};
+
 TEST(Framing, DaemonsAnswerPipelinedFramesOnAcceptedSockets)
 {
-    serve::ServiceOptions service_opts;
-    service_opts.cache_path = "";
-    service_opts.threads = 1;
-    service_opts.max_apps = 1;
-    service_opts.eval_params.warmup_uops = 40'000;
-    service_opts.eval_params.measure_uops = 60'000;
-    serve::EvaluationService service(service_opts);
+    Daemons daemons;
+    expectPipelinedStats(daemons.server.port());
+    expectPipelinedStats(daemons.router->port());
+}
 
+/** Every reply @p port sends to a payload that is not a valid
+ *  request followed by an oversized length prefix, up to hang-up. */
+std::vector<std::string>
+badInputReplies(std::uint16_t port)
+{
+    std::vector<std::string> replies;
+    auto sock = connectTcp(port, 2'000);
+    EXPECT_TRUE(sock.ok()) << sock.error().str();
+    if (!sock.ok())
+        return replies;
+    EXPECT_TRUE(writeFrame(sock.value(), "{\"id\":7,\"type\":\"nope\"}",
+                           serve::default_max_frame, 1'000)
+                    .ok());
+    rawSend(sock.value(),
+            prefix(static_cast<std::uint32_t>(serve::default_max_frame) +
+                   1));
+    for (;;) {
+        auto frame =
+            readFrame(sock.value(), serve::default_max_frame, 5'000);
+        // The daemon hangs up after the bad prefix: a clean FIN, or
+        // a reset if our bytes were still unread. Never a timeout.
+        if (!frame.ok()) {
+            EXPECT_EQ(frame.error().code, ErrorCode::IoFailure)
+                << frame.error().str();
+            break;
+        }
+        if (!frame.value().has_value())
+            break;
+        replies.push_back(*frame.value());
+    }
+    return replies;
+}
+
+TEST(Framing, DaemonsAnswerBadInputAlike)
+{
+    // One reader loop answers bad input for both daemons: the bad
+    // payload gets bad-request echoing its id, the unframeable
+    // prefix gets bad-request with id 0 and then a hang-up.
+    Daemons daemons;
+    const auto served = badInputReplies(daemons.server.port());
+    ASSERT_EQ(served.size(), 2u);
+    EXPECT_NE(served[0].find("\"id\":7"), std::string::npos) << served[0];
+    EXPECT_NE(served[1].find("\"id\":0"), std::string::npos) << served[1];
+    for (const std::string &reply : served)
+        EXPECT_NE(reply.find(serve::err_bad_request), std::string::npos)
+            << reply;
+    EXPECT_EQ(badInputReplies(daemons.router->port()), served);
+}
+
+/** One stats round trip on @p sock; true when it is answered. */
+bool
+statsAnswered(const Socket &sock)
+{
+    serve::Request stats;
+    stats.type = serve::RequestType::Stats;
+    if (!writeFrame(sock, serve::encodeRequest(stats),
+                    serve::default_max_frame, 1'000))
+        return false;
+    auto reply = readFrame(sock, serve::default_max_frame, 5'000);
+    return reply.ok() && reply.value().has_value() &&
+           serve::parseReply(*reply.value()).ok();
+}
+
+/**
+ * Exhaust the process's descriptors so the server's accept fails
+ * (EMFILE) with a connection pending, then free one: the pending
+ * connection must be accepted and answered. Exits 0 on success.
+ */
+[[noreturn]] void
+serveAfterDescriptorExhaustion()
+{
+    // No router here: its prober's connects would race us for the
+    // freed descriptor.
+    serve::EvaluationService service(tinyService());
     serve::Server server(service, serve::ServerOptions{});
-    auto started = server.start();
-    ASSERT_TRUE(started.ok()) << started.error().str();
-    route::RouterOptions router_opts;
-    router_opts.backends = {server.port()};
-    route::Router router(router_opts);
-    auto routed = router.start();
-    ASSERT_TRUE(routed.ok()) << routed.error().str();
+    if (!server.start().ok())
+        std::_Exit(1);
+    const auto failed = [] {
+        return telemetry::Registry::instance().snapshot().counter(
+            "net.accept_errors");
+    };
+    // Walk the accept, serve and warn paths once while descriptors
+    // are free: a sanitizer runtime may need one of its own the first
+    // time it sees a type (UBSan's vptr check probes memory through
+    // a pipe), which would misreport once none are left.
+    {
+        auto warm = connectTcp(server.port(), 2'000);
+        if (!warm.ok() || !statsAnswered(warm.value()))
+            std::_Exit(2);
+    }
+    util::warn(util::cat("accept errors before exhaustion: ",
+                         failed()));
 
-    expectPipelinedStats(server.port());
-    expectPipelinedStats(router.port());
+    rlimit lim{};
+    ::getrlimit(RLIMIT_NOFILE, &lim);
+    lim.rlim_cur = std::min<rlim_t>(lim.rlim_cur, 256);
+    ::setrlimit(RLIMIT_NOFILE, &lim);
+    std::vector<int> spare;
+    for (int fd; (fd = ::dup(0)) >= 0;)
+        spare.push_back(fd);
+    // Exactly one descriptor for our end of the connection; the
+    // server's end then has none.
+    ::close(spare.back());
+    spare.pop_back();
+    auto sock = connectTcp(server.port(), 2'000);
+    if (!sock.ok())
+        std::_Exit(3);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (failed() == 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (failed() == 0)
+        std::_Exit(4);
+
+    ::close(spare.back());
+    spare.pop_back();
+    const bool answered = statsAnswered(sock.value());
+    for (int fd : spare)
+        ::close(fd);
+    sock.value().close();
+    server.stop();
+    std::_Exit(answered ? 0 : 5);
+}
+
+TEST(FramingDeathTest, AcceptErrorsAreRetriedNotFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(serveAfterDescriptorExhaustion(),
+                ::testing::ExitedWithCode(0), "accept failed");
 }
 
 } // namespace

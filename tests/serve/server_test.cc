@@ -51,6 +51,27 @@ class ServerTest : public ::testing::Test
 
     void TearDown() override { fault::clearFaultPlan(); }
 
+    /** A v0 evaluate of @p app over DVS. */
+    static Request
+    evaluateRequest(const std::string &app, std::size_t config)
+    {
+        Request req;
+        req.type = RequestType::Evaluate;
+        req.app = app;
+        req.space = drm::AdaptationSpace::Dvs;
+        req.config = config;
+        return req;
+    }
+
+    /** A v0 request carrying only its type (stats, shutdown). */
+    static Request
+    bareRequest(RequestType type)
+    {
+        Request req;
+        req.type = type;
+        return req;
+    }
+
     /** The direct-path answer for an evaluate, serialized. */
     static std::string
     directEvaluate(std::size_t config)
@@ -93,8 +114,8 @@ TEST_F(ServerTest, EvaluateIsByteIdenticalToDirectPath)
     ASSERT_TRUE(server.start().ok());
     Client client = connectTo(server);
     for (std::size_t config : {0u, 3u, 7u}) {
-        auto served = client.evaluate(
-            app_, drm::AdaptationSpace::Dvs, config);
+        auto served =
+            Client::unwrap(client.call(evaluateRequest(app_, config)));
         ASSERT_TRUE(served.ok()) << served.error().str();
         EXPECT_EQ(util::writeJson(served.value()),
                   directEvaluate(config));
@@ -107,31 +128,30 @@ TEST_F(ServerTest, SelectionsMatchDirectPath)
     ASSERT_TRUE(server.start().ok());
     Client client = connectTo(server);
 
-    auto served_drm =
-        client.selectDrm(app_, drm::AdaptationSpace::Dvs);
+    Request drm_req;
+    drm_req.type = RequestType::SelectDrm;
+    drm_req.app = app_;
+    drm_req.space = drm::AdaptationSpace::Dvs;
+    Request dtm_req;
+    dtm_req.type = RequestType::SelectDtm;
+    dtm_req.app = app_;
+    dtm_req.space = drm::AdaptationSpace::Dvs;
+    dtm_req.t_design_k = 370.0;
+
+    auto served_drm = Client::unwrap(client.call(drm_req));
     ASSERT_TRUE(served_drm.ok()) << served_drm.error().str();
-    auto served_dtm =
-        client.selectDtm(app_, drm::AdaptationSpace::Dvs, 370.0);
+    auto served_dtm = Client::unwrap(client.call(dtm_req));
     ASSERT_TRUE(served_dtm.ok()) << served_dtm.error().str();
 
     // Stop the server so the batcher (the driver thread) is gone
     // before select() runs on this thread.
     server.stop();
 
-    Request drm_req;
-    drm_req.type = RequestType::SelectDrm;
-    drm_req.app = app_;
-    drm_req.space = drm::AdaptationSpace::Dvs;
     auto direct_drm = service_->select(drm_req);
     ASSERT_TRUE(direct_drm.ok());
     EXPECT_EQ(util::writeJson(served_drm.value()),
               util::writeJson(direct_drm.value()));
 
-    Request dtm_req;
-    dtm_req.type = RequestType::SelectDtm;
-    dtm_req.app = app_;
-    dtm_req.space = drm::AdaptationSpace::Dvs;
-    dtm_req.t_design_k = 370.0;
     auto direct_dtm = service_->select(dtm_req);
     ASSERT_TRUE(direct_dtm.ok());
     EXPECT_EQ(util::writeJson(served_dtm.value()),
@@ -213,14 +233,13 @@ TEST_F(ServerTest, UnknownAppIsAStructuredErrorNotAHangup)
     ASSERT_TRUE(server.start().ok());
     Client client = connectTo(server);
 
-    auto bad =
-        client.evaluate("no-such-app", drm::AdaptationSpace::Dvs, 0);
+    auto bad = Client::unwrap(
+        client.call(evaluateRequest("no-such-app", 0)));
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, util::ErrorCode::InvalidInput);
 
     // The connection survives a request-level error.
-    auto good =
-        client.evaluate(app_, drm::AdaptationSpace::Dvs, 0);
+    auto good = Client::unwrap(client.call(evaluateRequest(app_, 0)));
     EXPECT_TRUE(good.ok()) << good.error().str();
 }
 
@@ -378,7 +397,9 @@ TEST_F(ServerTest, ShutdownDrainsThenRejects)
     }
 
     Client admin = connectTo(server);
-    ASSERT_TRUE(admin.requestShutdown().ok());
+    ASSERT_TRUE(Client::unwrap(
+                    admin.call(bareRequest(RequestType::Shutdown)))
+                    .ok());
     EXPECT_TRUE(server.draining());
 
     // The admitted request is answered, never dropped.
@@ -425,8 +446,8 @@ TEST_F(ServerTest, ForcedNonConvergenceIsReportedNotDropped)
     ASSERT_TRUE(server.start().ok());
     Client client = connectTo(server);
 
-    auto result = client.evaluate(service.apps()[0].name,
-                                  drm::AdaptationSpace::Dvs, 0);
+    auto result = Client::unwrap(
+        client.call(evaluateRequest(service.apps()[0].name, 0)));
     ASSERT_TRUE(result.ok()) << result.error().str();
     const util::JsonValue *converged =
         result.value().find("converged");
@@ -446,8 +467,7 @@ TEST_F(ServerTest, ConnDropSeversDeterministically)
 
     // Every reply is dropped at rate 1.0: the call must fail with a
     // transport error, not hang past its deadline.
-    auto result =
-        client.evaluate(app_, drm::AdaptationSpace::Dvs, 0);
+    auto result = Client::unwrap(client.call(evaluateRequest(app_, 0)));
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.error().code == util::ErrorCode::IoFailure ||
                 result.error().code == util::ErrorCode::Timeout)
@@ -461,8 +481,9 @@ TEST_F(ServerTest, StatsCountsTraffic)
     Client client = connectTo(server);
 
     ASSERT_TRUE(
-        client.evaluate(app_, drm::AdaptationSpace::Dvs, 0).ok());
-    auto stats = client.stats();
+        Client::unwrap(client.call(evaluateRequest(app_, 0))).ok());
+    auto stats =
+        Client::unwrap(client.call(bareRequest(RequestType::Stats)));
     ASSERT_TRUE(stats.ok()) << stats.error().str();
     const util::JsonValue *srv = stats.value().find("server");
     ASSERT_NE(srv, nullptr);

@@ -92,8 +92,12 @@ TEST_F(SessionTest, SessionAnswersMatchTheLegacyClient)
     auto versioned =
         session.evaluate(app_, drm::AdaptationSpace::Dvs, 2);
     ASSERT_TRUE(versioned.ok()) << versioned.error().str();
-    auto v0 = legacy.value().evaluate(app_,
-                                      drm::AdaptationSpace::Dvs, 2);
+    Request req;
+    req.type = RequestType::Evaluate;
+    req.app = app_;
+    req.space = drm::AdaptationSpace::Dvs;
+    req.config = 2;
+    auto v0 = Client::unwrap(legacy.value().call(std::move(req)));
     ASSERT_TRUE(v0.ok()) << v0.error().str();
     // Same result object either way: versioning only wraps frames.
     EXPECT_EQ(util::writeJson(versioned.value()),
