@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark micro-kernels for the performance-critical pieces:
- * the failure-mechanism models, qualification FIT evaluation, the
- * thermal solvers, the cache model, the branch predictor, trace
+ * the failure-mechanism models, qualification FIT evaluation, DRM/DTM
+ * selection, the thermal solvers and the leakage/thermal fixed point,
+ * the cache model, the branch predictor, trace
  * generation, and whole-core cycle throughput. These bound the cost
  * of the reproduction sweeps.
  */
@@ -11,6 +12,7 @@
 
 #include "common.hh"
 #include "core/engine.hh"
+#include "core/evaluator.hh"
 #include "core/mechanisms.hh"
 #include "core/qualification.hh"
 #include "drm/oracle.hh"
@@ -100,12 +102,11 @@ BM_FitBasisPrice(benchmark::State &state)
 }
 BENCHMARK(BM_FitBasisPrice);
 
-void
-BM_SelectDrmArchDvs(benchmark::State &state)
+/** The 198-point ArchDVS space with synthetic points (temperature
+ *  rising with f, V and the window), since only selection is timed. */
+drm::ExploredApp
+syntheticArchDvs()
 {
-    // One DRM selection over the 198-point ArchDVS space. The points
-    // are synthetic (temperature rising with f, V and the window)
-    // since only their pricing is timed.
     drm::ExploredApp app;
     for (const auto &cfg : drm::configSpace(drm::AdaptationSpace::ArchDvs)) {
         core::OperatingPoint op;
@@ -117,16 +118,64 @@ BM_SelectDrmArchDvs(benchmark::State &state)
         op.activity.retired = 1000;
         app.points.emplace_back(std::move(op), cfg.frequency_ghz / 4.0);
     }
+    return app;
+}
+
+core::Qualification
+kernelQualification()
+{
     core::QualificationSpec spec;
     spec.t_qual_k = 370.0;
     spec.alpha_qual.fill(0.5);
-    const core::Qualification qual(spec);
+    return core::Qualification(spec);
+}
+
+void
+BM_SelectDrmArchDvs(benchmark::State &state)
+{
+    // One DRM selection over the 198-point ArchDVS space.
+    const drm::ExploredApp app = syntheticArchDvs();
+    const core::Qualification qual = kernelQualification();
     for (auto _ : state) {
         const auto sel = drm::selectDrm(app, qual);
         benchmark::DoNotOptimize(sel.index);
     }
 }
 BENCHMARK(BM_SelectDrmArchDvs);
+
+void
+BM_SelectDtmArchDvs(benchmark::State &state)
+{
+    // One DTM selection over the same space, capped at 370 K.
+    const drm::ExploredApp app = syntheticArchDvs();
+    const core::Qualification qual = kernelQualification();
+    for (auto _ : state) {
+        const auto sel = drm::selectDtm(app, 370.0, qual);
+        benchmark::DoNotOptimize(sel.index);
+    }
+}
+BENCHMARK(BM_SelectDtmArchDvs);
+
+void
+BM_ConvergeThermal(benchmark::State &state)
+{
+    // One single-core leakage/thermal fixed point (11 iterations) on
+    // a fixed twolf activity sample.
+    sim::ActivitySample sample;
+    sample.cycles = 94361;
+    sample.retired = 40001;
+    sample.activity =
+        {0x1.796318e2dee4cp-5, 0x0p+0, 0x1.0bbc47bfd9be5p-5, 0x0p+0,
+         0x1.0886e3be87bddp-5, 0x1.217c833069c8ep-5, 0x1.2e60e43cef039p-4,
+         0x1.2e60e43cef039p-4, 0x1.c6b24268905a4p-4, 0x1.b23ac4c89ead5p-5};
+    const core::Evaluator evaluator;
+    for (auto _ : state) {
+        const auto op =
+            evaluator.convergeThermal(sim::baseMachine(), sample, {});
+        benchmark::DoNotOptimize(op.sink_temp_k);
+    }
+}
+BENCHMARK(BM_ConvergeThermal);
 
 void
 BM_ThermalSteadyState(benchmark::State &state)

@@ -258,7 +258,7 @@ nonConvergenceCampaign(const bench::Options &opts,
     const std::size_t base_unconverged = !explored.base.converged;
 
     const auto sel = drm::selectDrm(explored, qual);
-    const bool winner_converged = sel.table[sel.index].converged;
+    const bool winner_converged = sel.converged;
     const bool accounted =
         forced ==
         static_cast<double>(unconverged + base_unconverged);

@@ -65,10 +65,33 @@ selectChipDrm(const std::vector<const drm::ExploredApp *> &cores,
     }
 
     if (policy == BudgetPolicy::Global) {
+        // An upgrade is a valid, converged point faster than the
+        // core's PerCore pick (its pick only gets faster, so no other
+        // point ever qualifies). Each is priced once, up front, under
+        // the same shared qualification.
+        struct Candidate
+        {
+            std::size_t index;
+            double perf_rel;
+            double fit;
+        };
+        std::vector<std::vector<Candidate>> upgrades(n);
+        for (std::size_t c = 0; c < n; ++c) {
+            const auto &points = cores[c]->points;
+            for (std::size_t p = 0; p < points.size(); ++p) {
+                const drm::ExploredPoint &xp = points[p];
+                if (xp.valid && xp.op.converged &&
+                    xp.perf_rel > out.cores[c].perf_rel)
+                    upgrades[c].push_back(
+                        {p, xp.perf_rel,
+                         qual.price(xp.basis(), xp.op.temps_k)
+                             .totalFit()});
+            }
+        }
+
         // Cap the chip SUM only: grant the headroom cool cores left
-        // unused to whichever upgrade (a higher-perf valid point
-        // from a core's selectDrm table) gains the most throughput
-        // per round and still fits. Deterministic tie-breaks: larger
+        // unused to whichever upgrade gains the most throughput per
+        // round and still fits. Deterministic tie-breaks: larger
         // gain, then smaller extra FIT, then lower core index, then
         // lower point index. Each round strictly improves one core
         // over a finite point set, so the loop terminates.
@@ -80,16 +103,12 @@ selectChipDrm(const std::vector<const drm::ExploredApp *> &cores,
             if (headroom <= 0.0)
                 break;
             std::size_t best_core = n;
-            std::size_t best_point = 0;
+            const Candidate *best = nullptr;
             double best_gain = 0.0;
             double best_extra = 0.0;
             for (std::size_t c = 0; c < n; ++c) {
                 const drm::Selection &cur = out.cores[c];
-                const auto &table = cur.table;
-                for (std::size_t p = 0; p < table.size(); ++p) {
-                    const drm::SelectionPoint &pt = table[p];
-                    if (!pt.valid || !pt.converged)
-                        continue;
+                for (const Candidate &pt : upgrades[c]) {
                     const double gain = pt.perf_rel - cur.perf_rel;
                     const double extra = pt.fit - cur.fit;
                     if (gain <= 0.0 || extra > headroom)
@@ -100,7 +119,7 @@ selectChipDrm(const std::vector<const drm::ExploredApp *> &cores,
                          extra < best_extra);
                     if (best_core == n || better) {
                         best_core = c;
-                        best_point = p;
+                        best = &pt;
                         best_gain = gain;
                         best_extra = extra;
                     }
@@ -109,14 +128,14 @@ selectChipDrm(const std::vector<const drm::ExploredApp *> &cores,
             if (best_core == n)
                 break;
             drm::Selection &sel = out.cores[best_core];
-            const drm::SelectionPoint &pt = sel.table[best_point];
-            consumed_fit += pt.fit - sel.fit;
-            sel.index = best_point;
-            sel.config =
-                cores[best_core]->points[best_point].op.config;
-            sel.perf_rel = pt.perf_rel;
-            sel.fit = pt.fit;
-            sel.max_temp_k = pt.max_temp_k;
+            const drm::ExploredPoint &xp =
+                cores[best_core]->points[best->index];
+            consumed_fit += best->fit - sel.fit;
+            sel.index = best->index;
+            sel.config = xp.op.config;
+            sel.perf_rel = best->perf_rel;
+            sel.fit = best->fit;
+            sel.max_temp_k = xp.op.maxTemp();
             sel.feasible = true; // within the chip-sum budget
         }
     }

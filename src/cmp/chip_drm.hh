@@ -14,9 +14,10 @@
  *  - Global: only the chip SUM is capped, at N x share. Starting
  *    from the PerCore selections, the unused headroom
  *    (chip budget - summed consumed FIT) is granted greedily: each
- *    round upgrades, among every core's remaining valid explored
- *    points (straight from the selectDrm table), the affordable
- *    point with the largest throughput gain, until no upgrade fits.
+ *    round upgrades, among every core's valid, converged explored
+ *    points faster than its current pick (each priced once, under
+ *    the shared qualification), the affordable point with the
+ *    largest throughput gain, until no upgrade fits.
  *    A hot core may thus exceed its share on the margin cool cores
  *    never used. Every core's performance ends >= its PerCore
  *    selection and the summed FIT never exceeds the chip budget --

@@ -48,7 +48,8 @@ evalMetrics()
 
 } // namespace
 
-Evaluator::Evaluator(EvalParams params) : params_(params)
+Evaluator::Evaluator(EvalParams params)
+    : params_(params), network_(params_.thermal_params)
 {
     if (params_.measure_uops == 0)
         util::fatal("evaluator needs a nonzero measurement length");
@@ -86,6 +87,8 @@ tryConvergeLeakage(const thermal::ThermalModel &network,
 {
     static const telemetry::Counter leak_clamped =
         telemetry::counter("evaluator.leak_clamped");
+    static const telemetry::Counter near_limit =
+        telemetry::counter("evaluator.near_limit");
 
     // Leakage evaluation temperature is clamped: above ~450 K the
     // exponential leakage-temperature loop has no stable fixed point
@@ -149,6 +152,11 @@ tryConvergeLeakage(const thermal::ThermalModel &network,
     }
     fp.converged = fp.residual_k < params.tolerance_k;
     fp.sink_k = steady.sink_k;
+    // Stopping in the last 10% of the limit (or at it) says the limit,
+    // not the physics, nearly decided the point.
+    if (10 * std::uint64_t{fp.iterations} >
+        9 * std::uint64_t{params.max_iterations})
+        near_limit.add();
 
     // Final power at the clamped final temperatures; the clamp
     // counter reports runaway points instead of hiding them.
@@ -177,12 +185,11 @@ Evaluator::tryConvergeThermal(const sim::MachineConfig &cfg,
                               const sim::CoreStats &stats) const
 {
     const power::PowerModel pmodel(cfg, params_.power_params);
-    const thermal::ThermalModel network(params_.thermal_params);
     const auto dyn = pmodel.dynamicPower(activity);
 
     auto &metrics = evalMetrics();
     metrics.converge_calls.add();
-    auto result = tryConvergeLeakage(network, {&pmodel, 1}, {&dyn, 1},
+    auto result = tryConvergeLeakage(network_, {&pmodel, 1}, {&dyn, 1},
                                      params_);
     if (!result)
         return result.error();

@@ -121,7 +121,9 @@ struct ThermalFixedPoint
  * tile of @p network. A singular solve or non-finite temperatures
  * are errors; hitting the iteration limit is not (converged ==
  * false). Leakage is evaluated at no more than 450 K; fixed points
- * that end with the clamp engaged are counted.
+ * that end with the clamp engaged are counted (evaluator.leak_clamped),
+ * and so are those that stop within the last 10% of
+ * EvalParams::max_iterations (evaluator.near_limit).
  */
 [[nodiscard]] util::Result<ThermalFixedPoint>
 tryConvergeLeakage(const thermal::ThermalModel &network,
@@ -130,7 +132,9 @@ tryConvergeLeakage(const thermal::ThermalModel &network,
 
 /**
  * Evaluates (application, machine) operating points. Stateless apart
- * from its parameters; safe to reuse across calls.
+ * from its parameters and the one thermal network they describe
+ * (built once, read-only afterwards); safe to reuse across calls and
+ * threads.
  */
 class Evaluator
 {
@@ -173,6 +177,7 @@ class Evaluator
 
   private:
     EvalParams params_;
+    thermal::ThermalModel network_; ///< From params_.thermal_params.
 };
 
 } // namespace core

@@ -1,6 +1,7 @@
 #include "drm/oracle.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <unordered_set>
 
@@ -232,81 +233,94 @@ OracleExplorer::explore(const workload::AppProfile &app,
 
 namespace {
 
-/**
- * Evaluate every point's constraint row under @p qual, then pick the
- * best-performing feasible one. When nothing is feasible, fall back
- * to the least-violating point per @p violation (lower = closer to
- * feasible). Each point's FIT is priced once from the basis its
- * exploration built: winner values are carried from the table instead
- * of being recomputed.
- *
- * Failed evaluations never participate (no constraint row can be
- * computed from a default point); with @p require_converged,
- * non-converged points get their row computed for display but are
- * excluded from both the feasible choice and the fallback. If every
- * point is excluded the exploration is unusable and this is fatal.
- */
-template <typename FeasibleFn, typename ViolationFn>
-Selection
-selectByConstraint(const ExploredApp &app,
-                   const core::Qualification &qual,
-                   bool require_converged, FeasibleFn feasible,
-                   ViolationFn violation)
+/** A point the policy may choose: a successful evaluation, and under
+ *  DRM (@p require_converged) a converged one -- FIT derived from an
+ *  unconverged thermal iterate must not steer reliability management,
+ *  not even as a fallback. */
+bool
+eligible(const ExploredPoint &xp, bool require_converged)
 {
-    Selection sel;
-    sel.table.reserve(app.points.size());
+    return xp.valid && (!require_converged || xp.op.converged);
+}
 
-    std::size_t best = 0;
-    bool found = false;
-    double best_perf = -1.0;
+/**
+ * The eligible points in the order a selection visits them: perf_rel
+ * descending, ties by ascending index. The first feasible point in
+ * this order is the best-performing feasible one, and among equals
+ * the lowest-indexed -- exactly what a full scan keeping the first
+ * strictly faster feasible point picks. perf_rel is a ratio of
+ * speeds, so a negative (or NaN) value marks a corrupt point: it can
+ * still be a fallback, but never ranks.
+ */
+std::vector<std::size_t>
+fastestFirst(const ExploredApp &app, bool require_converged)
+{
+    std::vector<std::size_t> order;
+    order.reserve(app.points.size());
+    for (std::size_t i = 0; i < app.points.size(); ++i)
+        if (eligible(app.points[i], require_converged) &&
+            app.points[i].perf_rel >= 0.0)
+            order.push_back(i);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const double pa = app.points[a].perf_rel;
+                  const double pb = app.points[b].perf_rel;
+                  return pa > pb || (pa == pb && a < b);
+              });
+    return order;
+}
+
+/**
+ * When nothing is feasible: the eligible point with the least
+ * @p violation (lower = closer to feasible), the lowest index on
+ * ties. Fatal when no point is eligible -- the exploration is then
+ * unusable.
+ */
+template <typename ViolationFn>
+std::size_t
+leastViolating(const ExploredApp &app, bool require_converged,
+               ViolationFn violation)
+{
     std::size_t fallback = 0;
     bool has_fallback = false;
     double least_violation = 1e300;
-    constexpr double inf = std::numeric_limits<double>::infinity();
-
     for (std::size_t i = 0; i < app.points.size(); ++i) {
-        const ExploredPoint &xp = app.points[i];
-        SelectionPoint pt;
-        pt.converged = xp.op.converged;
-        if (!xp.valid) {
-            pt.valid = false;
-            pt.fit = inf;
-            pt.max_temp_k = inf;
-            sel.table.push_back(pt);
+        if (!eligible(app.points[i], require_converged))
             continue;
-        }
-        pt.perf_rel = xp.perf_rel;
-        pt.fit = qual.price(xp.basis(), xp.op.temps_k).totalFit();
-        pt.max_temp_k = xp.op.maxTemp();
-        pt.valid = !require_converged || pt.converged;
-        if (!pt.valid) {
-            sel.table.push_back(pt);
-            continue;
-        }
-        pt.feasible = feasible(pt);
-        if (!has_fallback || violation(pt) < least_violation) {
-            least_violation = violation(pt);
+        const double v = violation(i);
+        if (!has_fallback || v < least_violation) {
+            least_violation = v;
             fallback = i;
             has_fallback = true;
         }
-        if (pt.feasible && pt.perf_rel > best_perf) {
-            best_perf = pt.perf_rel;
-            best = i;
-            found = true;
-        }
-        sel.table.push_back(pt);
     }
-
-    if (!found && !has_fallback)
+    if (!has_fallback)
         util::fatal("oracle selection: every explored point is "
                     "invalid or non-converged; nothing to select");
+    return fallback;
+}
 
-    sel.index = found ? best : fallback;
-    sel.feasible = found;
-    sel.config = app.points[sel.index].op.config;
-    sel.perf_rel = sel.table[sel.index].perf_rel;
-    sel.fit = sel.table[sel.index].fit;
-    sel.max_temp_k = sel.table[sel.index].max_temp_k;
+/** Application FIT of an explored point, priced from its basis. */
+double
+priceFit(const core::Qualification &qual, const ExploredPoint &xp)
+{
+    return qual.price(xp.basis(), xp.op.temps_k).totalFit();
+}
+
+/** The selection of point @p index, priced at @p fit. */
+Selection
+chosen(const ExploredApp &app, std::size_t index, double fit,
+       bool feasible)
+{
+    const ExploredPoint &xp = app.points[index];
+    Selection sel;
+    sel.index = index;
+    sel.config = xp.op.config;
+    sel.perf_rel = xp.perf_rel;
+    sel.fit = fit;
+    sel.max_temp_k = xp.op.maxTemp();
+    sel.feasible = feasible;
+    sel.converged = xp.op.converged;
     return sel;
 }
 
@@ -318,14 +332,27 @@ selectDrm(const ExploredApp &app, const core::Qualification &qual)
     if (app.points.empty())
         util::fatal("selectDrm: empty exploration");
 
+    // Only the points at least as fast as the winner decide it, so
+    // only they are priced.
     const double target = qual.spec().target_fit;
-    // DRM is the reliability-aware policy: a non-converged thermal
-    // fixed point gives untrustworthy FIT, so such points are
-    // excluded outright (require_converged).
-    return selectByConstraint(
-        app, qual, /*require_converged=*/true,
-        [&](const SelectionPoint &pt) { return pt.fit <= target; },
-        [](const SelectionPoint &pt) { return pt.fit; });
+    std::vector<double> fits(app.points.size(),
+                             std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t i : fastestFirst(app, /*require_converged=*/true)) {
+        fits[i] = priceFit(qual, app.points[i]);
+        if (fits[i] <= target)
+            return chosen(app, i, fits[i], true);
+    }
+
+    // Nothing feasible: the least FIT wins. Every ranked point is
+    // priced by now; the rest are priced here (a NaN price is simply
+    // recomputed, to the same NaN).
+    const std::size_t fallback = leastViolating(
+        app, /*require_converged=*/true, [&](std::size_t i) {
+            if (std::isnan(fits[i]))
+                fits[i] = priceFit(qual, app.points[i]);
+            return fits[i];
+        });
+    return chosen(app, fallback, fits[fallback], false);
 }
 
 Selection
@@ -335,16 +362,20 @@ selectDtm(const ExploredApp &app, double t_design_k,
     if (app.points.empty())
         util::fatal("selectDtm: empty exploration");
 
-    // The DTM policy is reliability-oblivious: @p qual only feeds the
-    // reported per-point and winner FIT values, never the choice. It
-    // tolerates non-converged points (their temperature iterate is
-    // still an upper-bound-ish signal and DTM reacts, not predicts).
-    return selectByConstraint(
-        app, qual, /*require_converged=*/false,
-        [&](const SelectionPoint &pt) {
-            return pt.max_temp_k <= t_design_k;
-        },
-        [](const SelectionPoint &pt) { return pt.max_temp_k; });
+    // The DTM policy is reliability-oblivious: @p qual only prices the
+    // winner, never steers the choice. It tolerates non-converged
+    // points (their temperature iterate is still an upper-bound-ish
+    // signal and DTM reacts, not predicts).
+    const auto max_temp = [&](std::size_t i) {
+        return app.points[i].op.maxTemp();
+    };
+    for (std::size_t i : fastestFirst(app, /*require_converged=*/false))
+        if (max_temp(i) <= t_design_k)
+            return chosen(app, i, priceFit(qual, app.points[i]), true);
+    const std::size_t fallback =
+        leastViolating(app, /*require_converged=*/false, max_temp);
+    return chosen(app, fallback, priceFit(qual, app.points[fallback]),
+                  false);
 }
 
 } // namespace drm

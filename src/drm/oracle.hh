@@ -70,30 +70,13 @@ struct ExploredApp
     std::vector<ExploredPoint> points; ///< One per configuration.
 };
 
-/** Constraint evaluation of one explored point, recorded in
- *  Selection::table in ExploredApp::points order. */
-struct SelectionPoint
-{
-    double perf_rel = 0.0;
-    double fit = 0.0;        ///< Application FIT under the qualification.
-    double max_temp_k = 0.0; ///< Hottest structure at this point.
-    bool feasible = false;   ///< Met the policy's constraint.
-    /** Participated in the selection. False for failed evaluations
-     *  (both policies) and, under DRM, for non-converged ones: a FIT
-     *  value derived from an unconverged thermal iterate must not
-     *  steer reliability management, not even as a fallback. */
-    bool valid = true;
-    /** The point's thermal fixed point converged. */
-    bool converged = true;
-};
-
 /**
  * Result of a DRM or DTM oracle selection.
  *
  * Every selection carries the winner's real application FIT under the
  * qualification it was given -- there is no reliability-oblivious
- * "0.0 FIT" sentinel -- plus the full per-point constraint table, so
- * callers can render sweeps without re-running the policy.
+ * "0.0 FIT" sentinel. Only the winner is described: a selection
+ * prices just the points that decide it (see selectDrm/selectDtm).
  */
 struct Selection
 {
@@ -107,8 +90,9 @@ struct Selection
     /** False when no configuration met the constraint; the selection
      *  then falls back to the least-violating configuration. */
     bool feasible = false;
-    /** Per-point constraint evaluations, one per explored point. */
-    std::vector<SelectionPoint> table;
+    /** The chosen point's thermal fixed point converged (always true
+     *  under DRM, which never chooses a non-converged point). */
+    bool converged = true;
 };
 
 /** Application FIT of one operating point under a qualification. */
@@ -194,20 +178,29 @@ class OracleExplorer
 };
 
 /**
- * DRM oracle: best perf_rel subject to FIT <= qual target. Falls back
- * to the lowest-FIT point when nothing is feasible.
+ * DRM oracle: best perf_rel subject to FIT <= qual target, the lowest
+ * index among equally fast points. Falls back to the lowest-FIT point
+ * (lowest index on ties) when nothing is feasible. Failed and
+ * non-converged points never participate.
+ *
+ * Points are visited fastest first and the first feasible one wins,
+ * so only the points at least as fast as the winner are priced; every
+ * converged point is priced only when nothing is feasible.
  */
 Selection selectDrm(const ExploredApp &app,
                     const core::Qualification &qual);
 
 /**
- * DTM oracle: best perf_rel subject to maxTemp <= t_design. Falls
- * back to the coolest point when nothing is feasible.
+ * DTM oracle: best perf_rel subject to maxTemp <= t_design, the
+ * lowest index among equally fast points. Falls back to the coolest
+ * point (lowest index on ties) when nothing is feasible. Failed
+ * points never participate; non-converged ones do.
  *
  * The policy itself is reliability-oblivious -- @p qual never
- * influences which point is chosen -- but every point's real FIT is
- * still evaluated under @p qual and reported in the result, so DTM
- * selections compare against FIT budgets without sentinels.
+ * influences which point is chosen -- but the winner's real FIT is
+ * priced under @p qual and reported in the result, so DTM selections
+ * compare against FIT budgets without sentinels. Only the winner is
+ * priced.
  */
 Selection selectDtm(const ExploredApp &app, double t_design_k,
                     const core::Qualification &qual);

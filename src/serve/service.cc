@@ -86,13 +86,20 @@ EvaluationService::evaluatePoint(const std::string &app,
                                  apps_[idx.value()]);
 }
 
-core::Qualification
-EvaluationService::qualification(double t_qual_k) const
+Result<core::QualificationSpec>
+EvaluationService::qualificationSpec(double t_qual_k,
+                                     std::string_view what) const
 {
     core::QualificationSpec spec;
+    if (!(t_qual_k > spec.ambient_k))
+        return RampError{ErrorCode::InvalidInput,
+                         util::cat(what, " (", t_qual_k,
+                                   " K) must exceed the qualification "
+                                   "ambient (",
+                                   spec.ambient_k, " K)")};
     spec.t_qual_k = t_qual_k;
     spec.alpha_qual = alpha_qual_;
-    return core::Qualification(spec);
+    return spec;
 }
 
 Result<JsonValue>
@@ -103,7 +110,10 @@ EvaluationService::encodeEvaluation(const Request &req,
     if (!idx)
         return idx.error();
     const core::OperatingPoint &base = base_ops_[idx.value()];
-    const auto qual = qualification(req.t_qual_k);
+    const auto spec = qualificationSpec(req.t_qual_k);
+    if (!spec)
+        return spec.error();
+    const core::Qualification qual(spec.value());
 
     JsonValue out = JsonValue::makeObject();
     out.set("app", JsonValue::makeString(req.app));
@@ -150,7 +160,10 @@ EvaluationService::select(const Request &req)
     auto idx = appIndex(req.app);
     if (!idx)
         return idx.error();
-    const auto qual = qualification(req.t_qual_k);
+    const auto spec = qualificationSpec(req.t_qual_k);
+    if (!spec)
+        return spec.error();
+    const core::Qualification qual(spec.value());
     const bool drm_policy = req.type == RequestType::SelectDrm;
 
     auto space = explored(idx.value(), req.space);
@@ -184,10 +197,7 @@ EvaluationService::select(const Request &req)
     out.set("fit", JsonValue::makeNumber(sel.fit));
     out.set("max_temp_k", JsonValue::makeNumber(sel.max_temp_k));
     out.set("feasible", JsonValue::makeBool(sel.feasible));
-    out.set("converged",
-            JsonValue::makeBool(sel.index < sel.table.size()
-                                    ? sel.table[sel.index].converged
-                                    : true));
+    out.set("converged", JsonValue::makeBool(sel.converged));
     return out;
 }
 
@@ -239,9 +249,10 @@ EvaluationService::selectChip(const Request &req)
     // One shared qualification prices every core's points, so FIT is
     // comparable and summable chip-wide; the chip budget is the
     // default per-core target scaled by the core count.
-    core::QualificationSpec chip_spec;
-    chip_spec.t_qual_k = req.t_qual_k;
-    chip_spec.alpha_qual = alpha_qual_;
+    auto spec = qualificationSpec(req.t_qual_k);
+    if (!spec)
+        return spec.error();
+    core::QualificationSpec &chip_spec = spec.value();
     const double budget_fit = chip_spec.target_fit * static_cast<double>(n);
     chip_spec.target_fit = budget_fit;
 
@@ -362,12 +373,21 @@ EvaluationService::remainingLifetime(const Request &req)
                       "' (send report_usage before asking for its "
                       "remaining lifetime)")};
 
+    const auto base_spec = qualificationSpec(req.t_qual_k);
+    if (!base_spec)
+        return base_spec.error();
     aging::SlackBankParams policy_params;
     policy_params.base_t_qual_k = req.t_qual_k;
     const aging::SlackBankPolicy policy(policy_params);
     const double consumed_frac = state->totalDamage();
     const double slack_frac = policy.slackFrac(*state);
     const double t_eff_k = policy.effectiveTQualK(*state);
+    // The throttle can take a valid base below ambient.
+    if (const auto eff = qualificationSpec(
+            t_eff_k, util::cat("throttled effective t_qual_k of chip '",
+                               req.chip, "'"));
+        !eff)
+        return eff.error();
 
     // The slack-banking trade rides through the *unmodified*
     // Selection API: a chip with banked slack selects against a
@@ -384,8 +404,7 @@ EvaluationService::remainingLifetime(const Request &req)
     const JsonValue *fit = selection.value().find("fit");
     const double point_fit =
         fit && fit->isNumber() ? fit->number : 0.0;
-    const double target_fit =
-        qualification(req.t_qual_k).spec().target_fit;
+    const double target_fit = base_spec.value().target_fit;
     const double eta_hours = aging::remainingHoursAtFit(
         *state, point_fit, target_fit,
         policy_params.service_life_years);

@@ -38,6 +38,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aging/state.hh"
@@ -193,10 +194,15 @@ class EvaluationService
     /** Unknown-app guard; InvalidInput with the suite's names. */
     [[nodiscard]] util::Result<std::size_t> appIndex(const std::string &app) const;
 
-    /** The paper's qualification at @p t_qual_k (alpha_qual from the
-     *  base points), built per request: 40 log rates, about 1 us.
-     *  Thread-safe after ensureReady(). */
-    core::Qualification qualification(double t_qual_k) const;
+    /** The paper's qualification spec at @p t_qual_k (alpha_qual from
+     *  the base points); callers build the core::Qualification per
+     *  request (40 log rates, about 1 us). A @p t_qual_k at or below
+     *  the qualification ambient is InvalidInput naming @p what, not
+     *  the fatal core::Qualification makes of it. Thread-safe after
+     *  ensureReady(). */
+    [[nodiscard]] util::Result<core::QualificationSpec>
+    qualificationSpec(double t_qual_k,
+                      std::string_view what = "t_qual_k") const;
 
     /** Memoized explored space (driver-thread only). */
     [[nodiscard]] util::Result<std::shared_ptr<const drm::ExploredApp>>

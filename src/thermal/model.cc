@@ -29,7 +29,7 @@ ThermalModel::ThermalModel(std::vector<TileOrigin> tiles,
     : params_(params), tiles_(std::move(tiles)),
       spreader_(blockNodes()), sink_(blockNodes() + 1),
       g_(nodes(), nodes()), g_amb_(nodes(), 0.0), cap_(nodes(), 0.0),
-      state_(nodes(), params.ambient_k)
+      state_(nodes(), params.ambient_k), steady_(util::Matrix(0, 0))
 {
     if (tiles_.empty())
         util::fatal("thermal model needs at least one tile");
@@ -130,6 +130,28 @@ ThermalModel::buildNetwork()
                 std::min(max_stable_dt_, cap_[i] / gsum);
     }
     max_stable_dt_ *= 0.5; // safety margin
+
+    // A does not depend on power, so it is eliminated here, once; each
+    // steady solve only replays the elimination on its b.
+    steady_ = util::LinearFactors(steadySystem());
+}
+
+util::Matrix
+ThermalModel::steadySystem() const
+{
+    // A_ii = sum_j g_ij + g_amb_i, A_ij = -g_ij.
+    const std::size_t n = nodes();
+    util::Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double diag = g_amb_[i];
+        for (std::size_t j = 0; j < n; ++j) {
+            diag += g_.at(i, j);
+            if (i != j && g_.at(i, j) > 0.0)
+                a.at(i, j) = -g_.at(i, j);
+        }
+        a.at(i, i) = diag;
+    }
+    return a;
 }
 
 void
@@ -148,20 +170,11 @@ ThermalModel::trySteadyState(TileMaps power_w) const
         telemetry::counter("thermal.steady_solves");
     solves.add();
 
-    // Solve A*T = b with A_ii = sum_j g_ij + g_amb_i, A_ij = -g_ij,
-    // b_i = P_i + g_amb_i * T_amb.
+    // b_i = P_i + g_amb_i * T_amb, against the network's eliminated A.
     checkTiles(power_w);
     const std::size_t n = nodes();
-    util::Matrix a(n, n);
     std::vector<double> b(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-        double diag = g_amb_[i];
-        for (std::size_t j = 0; j < n; ++j) {
-            diag += g_.at(i, j);
-            if (i != j && g_.at(i, j) > 0.0)
-                a.at(i, j) = -g_.at(i, j);
-        }
-        a.at(i, i) = diag;
         b[i] = g_amb_[i] * params_.ambient_k;
         if (i < blockNodes()) {
             const double p = power_w[i / num_structures][i % num_structures];
@@ -177,7 +190,7 @@ ThermalModel::trySteadyState(TileMaps power_w) const
             b[i] += p;
         }
     }
-    auto t = util::trySolveLinear(std::move(a), std::move(b));
+    auto t = steady_.solve(std::move(b));
     if (!t)
         return t.error();
 

@@ -119,7 +119,10 @@ class ThermalModel
 
     /**
      * Steady-state temperatures for fixed per-tile per-block power
-     * maps (W). Does not modify transient state. @p power_w must
+     * maps (W). The conductance system does not depend on power, so
+     * it was eliminated once when the network was built; a solve
+     * replays that elimination on the power vector. Does not modify
+     * transient state, and is safe to call concurrently. @p power_w must
      * carry one map per tile (panic otherwise -- a caller bug).
      * Negative or non-finite block power is an InvalidInput /
      * NonFiniteValue error naming the core and structure (a
@@ -160,6 +163,10 @@ class ThermalModel
     std::size_t numTiles() const { return tiles_.size(); }
     const ThermalParams &params() const { return params_; }
 
+    /** The steady-state system matrix A of A*T = P + g_amb*T_amb, one
+     *  row per node (blocks tile-major, then spreader, then sink). */
+    util::Matrix steadySystem() const;
+
   private:
     std::size_t blockNodes() const
     {
@@ -186,6 +193,8 @@ class ThermalModel
     std::vector<double> cap_;    ///< Node capacitance, J/K.
     std::vector<double> state_;  ///< Transient node temperatures, K.
     double max_stable_dt_;       ///< Explicit-Euler stability bound.
+    /** The steady system, eliminated once when the network is built. */
+    util::LinearFactors steady_;
 };
 
 } // namespace thermal

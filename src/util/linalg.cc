@@ -49,42 +49,67 @@ Matrix::mul(const std::vector<double> &x) const
     return y;
 }
 
-Result<std::vector<double>>
-trySolveLinear(Matrix a, std::vector<double> b)
+LinearFactors::LinearFactors(Matrix a) : lu_(std::move(a))
 {
-    const std::size_t n = a.rows();
-    if (a.cols() != n || b.size() != n)
+    const std::size_t n = lu_.rows();
+    if (lu_.cols() != n)
         panic("solveLinear needs a square system");
 
+    pivot_.reserve(n);
     for (std::size_t col = 0; col < n; ++col) {
         // Partial pivot: find the largest magnitude entry in the column.
         std::size_t pivot = col;
-        double best = std::fabs(a.at(col, col));
+        double best = std::fabs(lu_.at(col, col));
         for (std::size_t r = col + 1; r < n; ++r) {
-            const double v = std::fabs(a.at(r, col));
+            const double v = std::fabs(lu_.at(r, col));
             if (v > best) {
                 best = v;
                 pivot = r;
             }
         }
-        if (best < 1e-300)
-            return RampError{ErrorCode::SingularSystem,
-                             cat("singular linear system (pivot ",
-                                 best, " in column ", col, " of ", n,
-                                 ")")};
-        if (pivot != col) {
-            for (std::size_t c = col; c < n; ++c)
-                std::swap(a.at(col, c), a.at(pivot, c));
-            std::swap(b[col], b[pivot]);
+        if (best < 1e-300) {
+            singular_ = RampError{ErrorCode::SingularSystem,
+                                  cat("singular linear system (pivot ",
+                                      best, " in column ", col, " of ",
+                                      n, ")")};
+            return;
         }
-        // Eliminate below.
-        const double d = a.at(col, col);
+        pivot_.push_back(pivot);
+        if (pivot != col)
+            for (std::size_t c = col; c < n; ++c)
+                std::swap(lu_.at(col, c), lu_.at(pivot, c));
+        // Eliminate below, keeping each multiplier where it zeroed an
+        // entry (nothing reads that entry again; later swaps start
+        // at their own column, so it stays with this step).
+        const double d = lu_.at(col, col);
         for (std::size_t r = col + 1; r < n; ++r) {
-            const double factor = a.at(r, col) / d;
+            const double factor = lu_.at(r, col) / d;
+            lu_.at(r, col) = factor;
             if (factor == 0.0)
                 continue;
-            for (std::size_t c = col; c < n; ++c)
-                a.at(r, c) -= factor * a.at(col, c);
+            for (std::size_t c = col + 1; c < n; ++c)
+                lu_.at(r, c) -= factor * lu_.at(col, c);
+        }
+    }
+}
+
+Result<std::vector<double>>
+LinearFactors::solve(std::vector<double> b) const
+{
+    const std::size_t n = lu_.rows();
+    if (b.size() != n)
+        panic("solveLinear needs a square system");
+    if (singular_)
+        return *singular_;
+
+    // Replay the elimination on b, step by step.
+    for (std::size_t col = 0; col < n; ++col) {
+        if (pivot_[col] != col)
+            std::swap(b[col], b[pivot_[col]]);
+        for (std::size_t r = col + 1; r < n; ++r) {
+            const double factor = lu_.at(r, col);
+            if (factor == 0.0)
+                continue;
             b[r] -= factor * b[col];
         }
     }
@@ -94,10 +119,16 @@ trySolveLinear(Matrix a, std::vector<double> b)
     for (std::size_t i = n; i-- > 0;) {
         double acc = b[i];
         for (std::size_t c = i + 1; c < n; ++c)
-            acc -= a.at(i, c) * x[c];
-        x[i] = acc / a.at(i, i);
+            acc -= lu_.at(i, c) * x[c];
+        x[i] = acc / lu_.at(i, i);
     }
     return x;
+}
+
+Result<std::vector<double>>
+trySolveLinear(Matrix a, std::vector<double> b)
+{
+    return LinearFactors(std::move(a)).solve(std::move(b));
 }
 
 std::vector<double>

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "util/error.hh"
@@ -46,9 +47,38 @@ class Matrix
 };
 
 /**
- * Solve A x = b with partial-pivot Gaussian elimination.
- * A must be square with A.rows() == b.size() (violating that is a
- * caller bug and panics). A numerically singular system is a
+ * A square system eliminated once by partial-pivot Gaussian
+ * elimination, so that any number of right-hand sides can be solved
+ * against it. The elimination keeps its row swaps, its multipliers
+ * (below the diagonal) and the upper triangle; solve() replays the
+ * swaps and multipliers on b in the order the elimination made them,
+ * then back-substitutes. Every entry of x therefore goes through the
+ * same floating-point operations as eliminating [A | b] together.
+ */
+class LinearFactors
+{
+  public:
+    /**
+     * Eliminate @p a, which must be square (panics otherwise -- a
+     * caller bug). A numerically singular system is remembered, and
+     * every solve() returns it as ErrorCode::SingularSystem.
+     */
+    explicit LinearFactors(Matrix a);
+
+    /** x with A x = b; b.size() must equal the system size. */
+    [[nodiscard]] Result<std::vector<double>>
+    solve(std::vector<double> b) const;
+
+  private:
+    Matrix lu_;
+    std::vector<std::size_t> pivot_; ///< Row swapped in at each column.
+    std::optional<RampError> singular_;
+};
+
+/**
+ * Solve A x = b with partial-pivot Gaussian elimination (factor, then
+ * solve). A must be square with A.rows() == b.size() (violating that
+ * is a caller bug and panics). A numerically singular system is a
  * recoverable per-item failure and comes back as
  * ErrorCode::SingularSystem.
  */

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/evaluator.hh"
+#include "util/telemetry.hh"
 #include "workload/profile.hh"
 
 namespace ramp::core {
@@ -138,6 +139,41 @@ TEST(Evaluator, ConvergeThermalMatchesGolden)
     ASSERT_TRUE(fp.ok()) << fp.error().message;
     EXPECT_EQ(fp.value().iterations, 11u);
     EXPECT_EQ(fp.value().temps_k[0], op.temps_k);
+}
+
+TEST(Evaluator, NearLimitFixedPointsAreCounted)
+{
+    // This twolf sample converges in 11 iterations. Under a limit of
+    // 12 it stops in the limit's last 10% and is counted; under the
+    // default 100 it is not, and neither is a default fig2 base point.
+    const auto near_limit = [] {
+        return telemetry::Registry::instance().snapshot().counter(
+            "evaluator.near_limit");
+    };
+    sim::ActivitySample sample;
+    sample.cycles = 94361;
+    sample.retired = 40001;
+    sample.activity =
+        {0x1.796318e2dee4cp-5, 0x0p+0, 0x1.0bbc47bfd9be5p-5, 0x0p+0,
+         0x1.0886e3be87bddp-5, 0x1.217c833069c8ep-5, 0x1.2e60e43cef039p-4,
+         0x1.2e60e43cef039p-4, 0x1.c6b24268905a4p-4, 0x1.b23ac4c89ead5p-5};
+    EvalParams tight;
+    tight.max_iterations = 12;
+
+    const std::uint64_t before = near_limit();
+    EXPECT_TRUE(Evaluator(tight)
+                    .convergeThermal(sim::baseMachine(), sample, {})
+                    .converged);
+    EXPECT_EQ(near_limit(), before + 1);
+
+    EXPECT_TRUE(
+        Evaluator().convergeThermal(sim::baseMachine(), sample, {})
+            .converged);
+    ASSERT_TRUE(Evaluator()
+                    .tryEvaluate(sim::baseMachine(),
+                                 workload::findApp("twolf"))
+                    .ok());
+    EXPECT_EQ(near_limit(), before + 1);
 }
 
 TEST(Evaluator, PerformanceMetricConsistency)

@@ -6,6 +6,8 @@
  */
 
 #include <cstring>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -72,10 +74,132 @@ sameBits(double a, double b)
 }
 
 /**
+ * The reference oracle: price every point, then keep the first
+ * strictly faster feasible one; when nothing is feasible, the first
+ * least-violating one. Failed points never participate; with
+ * @p require_converged (DRM) neither do non-converged ones.
+ */
+Selection
+referenceSelect(const ExploredApp &app, const core::Qualification &qual,
+                bool require_converged,
+                const std::function<bool(double fit, double temp_k)>
+                    &feasible,
+                const std::function<double(double fit, double temp_k)>
+                    &violation)
+{
+    std::size_t best = 0;
+    bool found = false;
+    double best_perf = -1.0;
+    std::size_t fallback = 0;
+    bool has_fallback = false;
+    double least_violation = 1e300;
+    std::vector<double> fit(app.points.size());
+    for (std::size_t i = 0; i < app.points.size(); ++i) {
+        const ExploredPoint &xp = app.points[i];
+        if (!xp.valid || (require_converged && !xp.op.converged))
+            continue;
+        fit[i] = qual.price(xp.basis(), xp.op.temps_k).totalFit();
+        const double temp_k = xp.op.maxTemp();
+        if (!has_fallback || violation(fit[i], temp_k) < least_violation) {
+            least_violation = violation(fit[i], temp_k);
+            fallback = i;
+            has_fallback = true;
+        }
+        if (feasible(fit[i], temp_k) && xp.perf_rel > best_perf) {
+            best_perf = xp.perf_rel;
+            best = i;
+            found = true;
+        }
+    }
+    EXPECT_TRUE(has_fallback);
+    Selection sel;
+    sel.index = found ? best : fallback;
+    sel.feasible = found;
+    const ExploredPoint &xp = app.points[sel.index];
+    sel.config = xp.op.config;
+    sel.perf_rel = xp.perf_rel;
+    sel.fit = fit[sel.index];
+    sel.max_temp_k = xp.op.maxTemp();
+    sel.converged = xp.op.converged;
+    return sel;
+}
+
+Selection
+referenceDrm(const ExploredApp &app, const core::Qualification &qual)
+{
+    const double target = qual.spec().target_fit;
+    return referenceSelect(
+        app, qual, true,
+        [&](double fit, double) { return fit <= target; },
+        [](double fit, double) { return fit; });
+}
+
+Selection
+referenceDtm(const ExploredApp &app, double t_design_k,
+             const core::Qualification &qual)
+{
+    return referenceSelect(
+        app, qual, false,
+        [&](double, double temp_k) { return temp_k <= t_design_k; },
+        [](double, double temp_k) { return temp_k; });
+}
+
+/** Every field of @p got equals @p want bit for bit. */
+void
+expectSameSelection(const Selection &got, const Selection &want,
+                    const std::string &where)
+{
+    EXPECT_EQ(got.index, want.index) << where;
+    EXPECT_TRUE(sameBits(got.config.frequency_ghz,
+                         want.config.frequency_ghz))
+        << where;
+    EXPECT_TRUE(sameBits(got.config.voltage_v, want.config.voltage_v))
+        << where;
+    EXPECT_EQ(got.config.window_size, want.config.window_size) << where;
+    EXPECT_EQ(got.config.num_int_alu, want.config.num_int_alu) << where;
+    EXPECT_EQ(got.config.num_fpu, want.config.num_fpu) << where;
+    EXPECT_TRUE(sameBits(got.perf_rel, want.perf_rel)) << where;
+    EXPECT_TRUE(sameBits(got.fit, want.fit)) << where;
+    EXPECT_TRUE(sameBits(got.max_temp_k, want.max_temp_k)) << where;
+    EXPECT_EQ(got.feasible, want.feasible) << where;
+    EXPECT_EQ(got.converged, want.converged) << where;
+}
+
+/** The 16 T_quals the serve mix selects at (325-400 K). */
+double
+serveTQualK(int k)
+{
+    return 325.0 + 5.0 * k;
+}
+
+/**
+ * DRM at the 16 serve T_quals and DTM at each of them x several
+ * T_design values (from everything-feasible down to nothing-feasible)
+ * choose exactly what the reference full scan chooses.
+ */
+void
+expectSelectsLikeReference(const ExploredApp &app)
+{
+    for (int k = 0; k < 16; ++k) {
+        const auto qual = makeQual(serveTQualK(k));
+        const std::string at = "T_qual " + std::to_string(qual.spec().t_qual_k);
+        expectSameSelection(selectDrm(app, qual), referenceDrm(app, qual),
+                            "DRM at " + at);
+        for (double t_design_k : {300.0, 345.0, 355.0, 365.0, 370.0,
+                                  380.0, 400.0, 500.0})
+            expectSameSelection(
+                selectDtm(app, t_design_k, qual),
+                referenceDtm(app, t_design_k, qual),
+                "DTM at " + at + ", T_design " +
+                    std::to_string(t_design_k));
+    }
+}
+
+/**
  * At each of the 16 T_quals the serve mix selects at (325-400 K), and
  * at a 310 K ambient, every valid point's basis pricing equals the
- * reference report entry for entry, and its operatingPointFit and
- * DRM/DTM Selection::table FIT equal the reference total, bit for bit.
+ * reference report entry for entry, its operatingPointFit equals the
+ * reference total, and so does each DRM/DTM winner's fit, bit for bit.
  */
 void
 expectPricedLikeReference(const ExploredApp &app)
@@ -83,7 +207,7 @@ expectPricedLikeReference(const ExploredApp &app)
     for (double ambient_k : {300.0, 310.0}) {
         for (int k = 0; k < 16; ++k) {
             core::QualificationSpec spec;
-            spec.t_qual_k = 325.0 + 5.0 * k;
+            spec.t_qual_k = serveTQualK(k);
             spec.alpha_qual.fill(0.5);
             spec.ambient_k = ambient_k;
             const core::Qualification qual(spec);
@@ -101,9 +225,14 @@ expectPricedLikeReference(const ExploredApp &app)
                 const double total = want.totalFit();
                 EXPECT_TRUE(sameBits(got.totalFit(), total));
                 EXPECT_TRUE(sameBits(operatingPointFit(qual, pt.op), total));
-                EXPECT_TRUE(sameBits(drm_sel.table[i].fit, total));
-                EXPECT_TRUE(sameBits(dtm_sel.table[i].fit, total));
             }
+            for (const Selection &sel : {drm_sel, dtm_sel})
+                EXPECT_TRUE(sameBits(
+                    sel.fit,
+                    referenceReport(qual, app.points[sel.index].op)
+                        .totalFit()))
+                    << "winner " << sel.index << " T_qual "
+                    << spec.t_qual_k;
         }
     }
 }
@@ -272,33 +401,124 @@ TEST(SelectDtm, FallsBackToCoolest)
     EXPECT_EQ(sel.index, 0u);
 }
 
-TEST(Selection, CarriesWinnerConfigAndPerPointTable)
+TEST(Selection, CarriesTheWinnersConfigAndPoint)
 {
+    // A selection describes its winner only: its configuration, and
+    // the perf_rel, FIT, temperature and convergence of its point.
     const auto app = syntheticApp();
     const auto qual = makeQual(371.0);
 
     const auto drm_sel = selectDrm(app, qual);
-    ASSERT_EQ(drm_sel.table.size(), app.points.size());
+    const ExploredPoint &drm_pt = app.points[drm_sel.index];
     EXPECT_DOUBLE_EQ(drm_sel.config.frequency_ghz,
-                     app.points[drm_sel.index].op.config.frequency_ghz);
-    for (std::size_t i = 0; i < app.points.size(); ++i) {
-        const auto &pt = drm_sel.table[i];
-        EXPECT_DOUBLE_EQ(pt.perf_rel, app.points[i].perf_rel);
-        EXPECT_DOUBLE_EQ(pt.fit,
-                         operatingPointFit(qual, app.points[i].op));
-        EXPECT_DOUBLE_EQ(pt.max_temp_k, app.points[i].op.maxTemp());
-        EXPECT_EQ(pt.feasible, pt.fit <= qual.spec().target_fit);
-    }
-    // The winner's scalar fields mirror its table row.
-    EXPECT_DOUBLE_EQ(drm_sel.fit, drm_sel.table[drm_sel.index].fit);
-    EXPECT_DOUBLE_EQ(drm_sel.perf_rel,
-                     drm_sel.table[drm_sel.index].perf_rel);
+                     drm_pt.op.config.frequency_ghz);
+    EXPECT_DOUBLE_EQ(drm_sel.perf_rel, drm_pt.perf_rel);
+    EXPECT_DOUBLE_EQ(drm_sel.fit, operatingPointFit(qual, drm_pt.op));
+    EXPECT_DOUBLE_EQ(drm_sel.max_temp_k, drm_pt.op.maxTemp());
+    EXPECT_TRUE(drm_sel.feasible);
+    EXPECT_LE(drm_sel.fit, qual.spec().target_fit);
+    EXPECT_TRUE(drm_sel.converged);
 
     const auto dtm_sel = selectDtm(app, 380.0, qual);
-    ASSERT_EQ(dtm_sel.table.size(), app.points.size());
-    for (std::size_t i = 0; i < app.points.size(); ++i)
-        EXPECT_EQ(dtm_sel.table[i].feasible,
-                  dtm_sel.table[i].max_temp_k <= 380.0);
+    EXPECT_TRUE(dtm_sel.feasible);
+    EXPECT_LE(dtm_sel.max_temp_k, 380.0);
+    EXPECT_DOUBLE_EQ(dtm_sel.max_temp_k,
+                     app.points[dtm_sel.index].op.maxTemp());
+    // Every faster point is over T_design.
+    for (const auto &pt : app.points) {
+        if (pt.perf_rel > dtm_sel.perf_rel) {
+            EXPECT_GT(pt.op.maxTemp(), 380.0);
+        }
+    }
+}
+
+TEST(Selection, EqualPerfPicksTheLowestIndex)
+{
+    // Two feasible points equally fast as the fastest: index 1 wins,
+    // under both policies, whatever their FIT or temperature order.
+    ExploredApp app = syntheticApp();
+    app.points.emplace(app.points.begin() + 1, syntheticOp(360.0, 4.75),
+                       1.15);
+    app.points.emplace_back(syntheticOp(340.0, 4.75), 1.15);
+    const auto qual = makeQual(400.0);
+    EXPECT_EQ(selectDrm(app, qual).index, 1u);
+    EXPECT_EQ(selectDtm(app, 400.0, qual).index, 1u);
+    expectSelectsLikeReference(app);
+}
+
+TEST(Selection, NothingFeasibleFallsBackLikeTheReference)
+{
+    // Both fallbacks, with the least-violating value shared by two
+    // points: the lower index wins.
+    ExploredApp app = syntheticApp();
+    app.points.emplace_back(syntheticOp(345.0, 3.0), 0.9);
+    const auto drm_sel = selectDrm(app, makeQual(330.0));
+    EXPECT_FALSE(drm_sel.feasible);
+    EXPECT_EQ(drm_sel.index, 0u);
+    const auto dtm_sel = selectDtm(app, 320.0, makeQual());
+    EXPECT_FALSE(dtm_sel.feasible);
+    EXPECT_EQ(dtm_sel.index, 0u);
+    expectSelectsLikeReference(app);
+}
+
+TEST(Selection, NonConvergedFastestPointIsSkippedByDrmOnly)
+{
+    // The fastest point did not converge: DRM never chooses (or even
+    // falls back to) it; DTM still may.
+    ExploredApp app = syntheticApp();
+    core::OperatingPoint hot = syntheticOp(350.0, 5.0);
+    hot.converged = false;
+    app.points.emplace_back(std::move(hot), 1.3);
+    const auto qual = makeQual(400.0);
+    const auto drm_sel = selectDrm(app, qual);
+    EXPECT_EQ(drm_sel.index, 2u);
+    EXPECT_TRUE(drm_sel.converged);
+    const auto dtm_sel = selectDtm(app, 400.0, qual);
+    EXPECT_EQ(dtm_sel.index, 3u);
+    EXPECT_FALSE(dtm_sel.converged);
+    EXPECT_GT(dtm_sel.fit, 0.0);
+    expectSelectsLikeReference(app);
+
+    // Only the hottest point converged: nothing is feasible, and
+    // DRM's fallback is that point although cooler ones exist.
+    ExploredApp lone = syntheticApp();
+    for (std::size_t i : {0u, 1u}) {
+        core::OperatingPoint op = lone.points[i].op;
+        op.converged = false;
+        lone.points[i] = ExploredPoint(std::move(op), lone.points[i].perf_rel);
+    }
+    const auto fallback = selectDrm(lone, makeQual(330.0));
+    EXPECT_FALSE(fallback.feasible);
+    EXPECT_EQ(fallback.index, 2u);
+    expectSelectsLikeReference(lone);
+}
+
+TEST(Selection, FailedPointsNeverParticipate)
+{
+    // Failed evaluations around and in front of the winner.
+    ExploredApp app = syntheticApp();
+    app.points.insert(app.points.begin(), ExploredPoint{});
+    app.points.insert(app.points.begin() + 2, ExploredPoint{});
+    app.points.emplace_back();
+    for (double tq : {400.0, 371.0, 330.0}) {
+        const auto sel = selectDrm(app, makeQual(tq));
+        EXPECT_TRUE(app.points[sel.index].valid) << tq;
+    }
+    for (double td : {400.0, 380.0, 320.0}) {
+        const auto sel = selectDtm(app, td, makeQual());
+        EXPECT_TRUE(app.points[sel.index].valid) << td;
+    }
+    expectSelectsLikeReference(app);
+}
+
+TEST(SelectDeath, NothingSelectableIsFatal)
+{
+    ExploredApp failed;
+    failed.points.resize(3);
+    EXPECT_EXIT(selectDrm(failed, makeQual()),
+                testing::ExitedWithCode(1), "nothing to select");
+    EXPECT_EXIT(selectDtm(failed, 370.0, makeQual()),
+                testing::ExitedWithCode(1), "nothing to select");
 }
 
 TEST(SelectDeath, EmptyExplorationIsFatal)
@@ -340,8 +560,10 @@ TEST(Explorer, SmallRealExplorationEndToEnd)
     const auto sel = selectDrm(explored, makeQual(400.0));
     EXPECT_GE(sel.perf_rel, 1.0 - 1e-9);
 
-    // The fig4 (DVS) space prices bit for bit like the reference.
+    // The fig4 (DVS) space prices and selects bit for bit like the
+    // reference.
     expectPricedLikeReference(explored);
+    expectSelectsLikeReference(explored);
 }
 
 TEST(Explorer, Fig2ArchDvsSpacePricesLikeTheReference)
@@ -357,6 +579,7 @@ TEST(Explorer, Fig2ArchDvsSpacePricesLikeTheReference)
                                            AdaptationSpace::ArchDvs);
     ASSERT_EQ(explored.points.size(), 198u);
     expectPricedLikeReference(explored);
+    expectSelectsLikeReference(explored);
 }
 
 } // namespace

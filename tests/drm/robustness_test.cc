@@ -261,7 +261,8 @@ TEST_F(RobustnessTest, OracleSerialAndParallelAgreeUnderFaults)
     EXPECT_LT(unconverged, serial_app.points.size());
 
     const auto sel = selectDrm(serial_app, makeQual(400.0));
-    EXPECT_TRUE(sel.table[sel.index].converged);
+    EXPECT_TRUE(sel.converged);
+    EXPECT_TRUE(serial_app.points[sel.index].op.converged);
 }
 
 /** Temp cache path; removes the log and its sidecars. */

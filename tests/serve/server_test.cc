@@ -202,6 +202,70 @@ TEST_F(ServerTest, RetiredSurrogateFieldLeavesRepliesByteIdentical)
     }
 }
 
+TEST_F(ServerTest, TQualAtOrBelowAmbientIsInvalidInputNotFatal)
+{
+    // A T_qual that does not exceed the qualification ambient cannot
+    // be qualified at; every verb that takes one answers so, and the
+    // daemon keeps serving.
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    Client client = connectTo(server);
+
+    // Damage far over budget, so the slack bank throttles T_qual by
+    // its full 25 K.
+    aging::AgingState overspent;
+    overspent.age_hours = 1.0;
+    for (auto &pair : overspent.damage)
+        pair.fill(0.2);
+    Request usage;
+    usage.version = 2;
+    usage.type = RequestType::ReportUsage;
+    usage.chip = "overspent";
+    usage.state = aging::toJson(overspent);
+    ASSERT_TRUE(Client::unwrap(client.call(usage)).ok());
+
+    Request drm_req;
+    drm_req.type = RequestType::SelectDrm;
+    drm_req.app = app_;
+    drm_req.space = drm::AdaptationSpace::Dvs;
+    Request dtm_req = drm_req;
+    dtm_req.type = RequestType::SelectDtm;
+    Request chip_req;
+    chip_req.version = 3;
+    chip_req.type = RequestType::SelectChip;
+    chip_req.core_apps = {app_, app_};
+    chip_req.space = drm::AdaptationSpace::Dvs;
+    Request life_req = drm_req;
+    life_req.version = 2;
+    life_req.type = RequestType::RemainingLifetime;
+    life_req.chip = "overspent";
+
+    const auto expectRejected = [&](Request req, const char *named) {
+        auto reply = Client::unwrap(client.call(req));
+        ASSERT_FALSE(reply.ok()) << requestTypeName(req.type);
+        EXPECT_EQ(reply.error().code, util::ErrorCode::InvalidInput);
+        const std::string &msg = reply.error().message;
+        EXPECT_NE(msg.find(named), std::string::npos) << msg;
+        EXPECT_NE(msg.find("must exceed the qualification ambient "
+                           "(300 K)"),
+                  std::string::npos)
+            << msg;
+    };
+    for (Request req :
+         {evaluateRequest(app_, 0), drm_req, dtm_req, chip_req, life_req}) {
+        req.t_qual_k = 250.0;
+        expectRejected(req, "t_qual_k (250 K)");
+    }
+    // A valid base that the throttle takes below ambient.
+    life_req.t_qual_k = 320.0;
+    expectRejected(life_req, "throttled effective t_qual_k");
+
+    Client again = connectTo(server);
+    auto stats =
+        Client::unwrap(again.call(bareRequest(RequestType::Stats)));
+    EXPECT_TRUE(stats.ok()) << stats.error().str();
+}
+
 TEST_F(ServerTest, PipelinedIdenticalRequestsAllAnswered)
 {
     Server server(*service_, ServerOptions{});
