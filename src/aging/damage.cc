@@ -95,15 +95,6 @@ DamageIntegrator::addInterval(
 }
 
 void
-DamageIntegrator::addOperatingPoint(const core::OperatingPoint &op,
-                                    double duration_s)
-{
-    addInterval(op.temps_k, op.activity.activity,
-                op.config.voltage_v, op.config.frequency_ghz,
-                duration_s);
-}
-
-void
 DamageIntegrator::setState(AgingState state)
 {
     state_ = std::move(state);
@@ -163,14 +154,6 @@ DamageIntegrator::integrate(const std::vector<StressEpoch> &epochs,
         state_.age_hours += hours;
         intervalCounter().add();
     }
-}
-
-void
-integrateEpochs(DamageIntegrator &integrator,
-                const std::vector<StressEpoch> &epochs,
-                util::ThreadPool *pool)
-{
-    integrator.integrate(epochs, pool);
 }
 
 } // namespace aging

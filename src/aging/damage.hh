@@ -67,11 +67,6 @@ class DamageIntegrator
                      double voltage_v, double frequency_ghz,
                      double duration_s);
 
-    /** Integrate an evaluated operating point held for
-     *  @p duration_s. */
-    void addOperatingPoint(const core::OperatingPoint &op,
-                           double duration_s);
-
     /**
      * Integrate a batch of epochs, fanning (structure, mechanism)
      * pairs across @p pool (nullptr = serial). Per-pair accumulation
@@ -87,11 +82,6 @@ class DamageIntegrator
 
     const AgingState &state() const { return state_; }
 
-    const sim::PerStructure<double> &onFractions() const
-    {
-        return on_frac_;
-    }
-
     const core::Qualification &qualification() const
     {
         return qual_;
@@ -105,11 +95,6 @@ class DamageIntegrator
     DamageParams params_;
     AgingState state_;
 };
-
-/** Free-function spelling of DamageIntegrator::integrate(). */
-void integrateEpochs(DamageIntegrator &integrator,
-                     const std::vector<StressEpoch> &epochs,
-                     util::ThreadPool *pool);
 
 } // namespace aging
 } // namespace ramp

@@ -73,9 +73,6 @@ class ChipFloorplan
     /** Edge length of one core tile (mm); tiles are square. */
     double tileSize() const { return core_.dieSize(); }
 
-    /** The per-core structure layout every tile instantiates. */
-    const thermal::Floorplan &coreFloorplan() const { return core_; }
-
     /** Tile origins in core order (the thermal network placement). */
     std::vector<thermal::TileOrigin> origins() const;
 

@@ -167,23 +167,5 @@ damageRatePerHour(double fit, double allocation_fit,
     return fit / (allocation_fit * serviceLifeHours(service_life_years));
 }
 
-sim::PerStructure<std::array<double, num_mechanisms>>
-damageRatesPerHour(const Qualification &qual, const FitReport &report,
-                   double service_life_years)
-{
-    sim::PerStructure<std::array<double, num_mechanisms>> rates{};
-    for (auto s : allStructures()) {
-        const std::size_t si = structureIndex(s);
-        for (auto m : allMechanisms()) {
-            const std::size_t mi = mechanismIndex(m);
-            rates[si][mi] =
-                damageRatePerHour(report.fit[si][mi],
-                                  qual.allocation(s, m),
-                                  service_life_years);
-        }
-    }
-    return rates;
-}
-
 } // namespace core
 } // namespace ramp

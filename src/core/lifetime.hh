@@ -103,16 +103,6 @@ double serviceLifeHours(double service_life_years);
 double damageRatePerHour(double fit, double allocation_fit,
                          double service_life_years);
 
-/**
- * Per-(structure, mechanism) damage rates implied by a steady FIT
- * report under the given qualification: the fraction of each pair's
- * qualified budget that one hour of the reported operating history
- * consumes.
- */
-sim::PerStructure<std::array<double, num_mechanisms>>
-damageRatesPerHour(const Qualification &qual, const FitReport &report,
-                   double service_life_years);
-
 } // namespace core
 } // namespace ramp
 

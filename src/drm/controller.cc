@@ -1,53 +1,56 @@
 #include "drm/controller.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
-#include "util/telemetry.hh"
 
 namespace ramp {
 namespace drm {
 
-namespace {
-
-/** Emit a level-change trace instant and bump the shared counter. */
-void
-recordLevelChange(const telemetry::Counter &counter, const char *name,
-                  const char *cat, std::size_t from, std::size_t to,
-                  double signal)
+LadderStepper::LadderStepper(const char *owner, const char *scope,
+                             std::size_t num_levels,
+                             std::size_t start_level,
+                             std::uint32_t settle_intervals)
+    : scope_(scope), change_instant_(util::cat(scope, ".level_change")),
+      changes_(telemetry::counter(util::cat(scope, ".level_changes"))),
+      num_levels_(num_levels), level_(start_level),
+      settle_intervals_(settle_intervals)
 {
-    counter.add();
-    telemetry::instant(name, cat,
+    if (num_levels == 0)
+        util::fatal(util::cat(owner, " needs at least one level"));
+    if (start_level >= num_levels)
+        util::fatal(util::cat(owner, " start level out of range"));
+}
+
+std::size_t
+LadderStepper::step(bool too_high, bool too_low, double signal)
+{
+    if (cooldown_ > 0) {
+        --cooldown_;
+        return level_;
+    }
+    const std::size_t from = level_;
+    if (too_high && level_ > 0)
+        --level_;
+    else if (too_low && level_ + 1 < num_levels_)
+        ++level_;
+    if (level_ == from)
+        return level_;
+    ++transitions_;
+    cooldown_ = settle_intervals_;
+    changes_.add();
+    telemetry::instant(change_instant_, scope_,
                        {{"from", static_cast<double>(from)},
-                        {"to", static_cast<double>(to)},
+                        {"to", static_cast<double>(level_)},
                         {"signal", signal}});
+    return level_;
 }
-
-struct ControllerMetrics
-{
-    telemetry::Counter drm_changes =
-        telemetry::counter("drm.level_changes");
-    telemetry::Counter dtm_changes =
-        telemetry::counter("dtm.level_changes");
-};
-
-ControllerMetrics &
-controllerMetrics()
-{
-    static ControllerMetrics m;
-    return m;
-}
-
-} // namespace
 
 DrmController::DrmController(Params params, std::size_t num_levels,
                              std::size_t start_level)
-    : params_(params), num_levels_(num_levels), level_(start_level)
+    // ramp-lint: emits(counter, drm.level_changes)
+    // ramp-lint: emits(instant, drm.level_change)
+    : params_(params), ladder_("DrmController", "drm", num_levels,
+                               start_level, params.settle_intervals)
 {
-    if (num_levels == 0)
-        util::fatal("DrmController needs at least one level");
-    if (start_level >= num_levels)
-        util::fatal("DrmController start level out of range");
     if (params_.target_fit <= 0.0)
         util::fatal("DrmController target FIT must be positive");
 }
@@ -55,92 +58,20 @@ DrmController::DrmController(Params params, std::size_t num_levels,
 std::size_t
 DrmController::observe(double avg_fit_so_far)
 {
-    if (cooldown_ > 0) {
-        --cooldown_;
-        return level_;
-    }
     const double target = params_.target_fit;
-    const std::size_t from = level_;
-    if (avg_fit_so_far > target * (1.0 + params_.down_margin) &&
-        level_ > 0) {
-        --level_;
-        ++transitions_;
-        cooldown_ = params_.settle_intervals;
-    } else if (avg_fit_so_far < target * (1.0 - params_.up_margin) &&
-               level_ + 1 < num_levels_) {
-        ++level_;
-        ++transitions_;
-        cooldown_ = params_.settle_intervals;
-    }
-    if (level_ != from)
-        // ramp-lint: emits(instant, drm.level_change)
-        recordLevelChange(controllerMetrics().drm_changes,
-                          "drm.level_change", "drm", from, level_,
-                          avg_fit_so_far);
-    return level_;
-}
-
-SlackBankController::SlackBankController(Params params,
-                                         std::size_t num_levels,
-                                         std::size_t start_level)
-    : params_(params), num_levels_(num_levels), level_(start_level)
-{
-    if (num_levels == 0)
-        util::fatal("SlackBankController needs at least one level");
-    if (start_level >= num_levels)
-        util::fatal("SlackBankController start level out of range");
-    if (params_.target_fit <= 0.0)
-        util::fatal("SlackBankController target FIT must be "
-                    "positive");
-    if (params_.bank_fraction < 0.0)
-        util::fatal("SlackBankController bank fraction must be "
-                    "non-negative");
-}
-
-double
-SlackBankController::allowedFit(double progress) const
-{
-    const double p = std::clamp(progress, 0.0, 1.0);
-    return params_.target_fit *
-           (1.0 + params_.bank_fraction * (1.0 - p));
-}
-
-std::size_t
-SlackBankController::observe(double avg_fit_so_far, double progress)
-{
-    if (cooldown_ > 0) {
-        --cooldown_;
-        return level_;
-    }
-    const double allowed = allowedFit(progress);
-    const std::size_t from = level_;
-    if (avg_fit_so_far > allowed * (1.0 + params_.down_margin) &&
-        level_ > 0) {
-        --level_;
-        ++transitions_;
-        cooldown_ = params_.settle_intervals;
-    } else if (avg_fit_so_far < allowed * (1.0 - params_.up_margin) &&
-               level_ + 1 < num_levels_) {
-        ++level_;
-        ++transitions_;
-        cooldown_ = params_.settle_intervals;
-    }
-    if (level_ != from)
-        // ramp-lint: emits(instant, drm.level_change)
-        recordLevelChange(controllerMetrics().drm_changes,
-                          "drm.level_change", "drm", from, level_,
-                          avg_fit_so_far);
-    return level_;
+    return ladder_.step(
+        avg_fit_so_far > target * (1.0 + params_.down_margin),
+        avg_fit_so_far < target * (1.0 - params_.up_margin),
+        avg_fit_so_far);
 }
 
 DtmController::DtmController(Params params, std::size_t num_levels,
                              std::size_t start_level)
-    : params_(params), num_levels_(num_levels), level_(start_level)
+    // ramp-lint: emits(counter, dtm.level_changes)
+    // ramp-lint: emits(instant, dtm.level_change)
+    : params_(params), ladder_("DtmController", "dtm", num_levels,
+                               start_level, params.settle_intervals)
 {
-    if (num_levels == 0)
-        util::fatal("DtmController needs at least one level");
-    if (start_level >= num_levels)
-        util::fatal("DtmController start level out of range");
     if (params_.guard_k < 0.0)
         util::fatal("DtmController guard band must be non-negative");
 }
@@ -148,27 +79,9 @@ DtmController::DtmController(Params params, std::size_t num_levels,
 std::size_t
 DtmController::observe(double max_temp_k)
 {
-    if (cooldown_ > 0) {
-        --cooldown_;
-        return level_;
-    }
-    const std::size_t from = level_;
-    if (max_temp_k > params_.t_design_k && level_ > 0) {
-        --level_;
-        ++transitions_;
-        cooldown_ = params_.settle_intervals;
-    } else if (max_temp_k < params_.t_design_k - params_.guard_k &&
-               level_ + 1 < num_levels_) {
-        ++level_;
-        ++transitions_;
-        cooldown_ = params_.settle_intervals;
-    }
-    if (level_ != from)
-        // ramp-lint: emits(instant, dtm.level_change)
-        recordLevelChange(controllerMetrics().dtm_changes,
-                          "dtm.level_change", "dtm", from, level_,
-                          max_temp_k);
-    return level_;
+    return ladder_.step(max_temp_k > params_.t_design_k,
+                        max_temp_k < params_.t_design_k - params_.guard_k,
+                        max_temp_k);
 }
 
 } // namespace drm

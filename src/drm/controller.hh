@@ -23,9 +23,56 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+
+#include "util/telemetry.hh"
 
 namespace ramp {
 namespace drm {
+
+/**
+ * The DVS-ladder walk both controllers share. An observation while
+ * settling only counts the cooldown down; otherwise the ladder steps
+ * one rung down when the controller says its signal is too high,
+ * else one rung up when it is low enough, never past either end.
+ * Each change counts as a transition, restarts the cooldown, and is
+ * reported as `<scope>.level_changes` and a `<scope>.level_change`
+ * trace instant.
+ */
+class LadderStepper
+{
+  public:
+    /**
+     * @param owner Controller name for construction errors.
+     * @param scope Metric scope and trace category ("drm", "dtm").
+     * @param num_levels Size of the DVS ladder (> 0).
+     * @param start_level Initial ladder index (< num_levels).
+     * @param settle_intervals Observations held after each change.
+     */
+    LadderStepper(const char *owner, const char *scope,
+                  std::size_t num_levels, std::size_t start_level,
+                  std::uint32_t settle_intervals);
+
+    /**
+     * One observation of @p signal, whose thresholds the caller has
+     * already applied: @p too_high asks for a step down, @p too_low
+     * for a step up. Returns the level for the next interval.
+     */
+    std::size_t step(bool too_high, bool too_low, double signal);
+
+    std::size_t level() const { return level_; }
+    std::uint64_t transitions() const { return transitions_; }
+
+  private:
+    const char *scope_;
+    std::string change_instant_;
+    telemetry::Counter changes_;
+    std::size_t num_levels_;
+    std::size_t level_;
+    std::uint32_t settle_intervals_;
+    std::uint32_t cooldown_ = 0;
+    std::uint64_t transitions_ = 0;
+};
 
 /** DRM feedback controller over a discrete DVS ladder. */
 class DrmController
@@ -58,69 +105,14 @@ class DrmController
     std::size_t observe(double avg_fit_so_far);
 
     /** Current ladder level. */
-    std::size_t level() const { return level_; }
+    std::size_t level() const { return ladder_.level(); }
 
     /** Number of level changes so far. */
-    std::uint64_t transitions() const { return transitions_; }
+    std::uint64_t transitions() const { return ladder_.transitions(); }
 
   private:
     Params params_;
-    std::size_t num_levels_;
-    std::size_t level_;
-    std::uint32_t cooldown_ = 0;
-    std::uint64_t transitions_ = 0;
-};
-
-/**
- * Slack-banking DRM controller: the same lifetime-average feedback
- * as DrmController, but against a *front-loaded* allowance instead
- * of a flat target. At the start of the control window the allowed
- * average FIT is target * (1 + bank_fraction); the allowance decays
- * linearly to exactly the target as the window completes, so early
- * intervals may spend banked reliability slack (running hotter and
- * faster than the steady-safe point) while the closing feedback
- * still steers the *final* average to the qualified budget.
- */
-class SlackBankController
-{
-  public:
-    struct Params
-    {
-        /** Lifetime FIT target (the qualification target). */
-        double target_fit = 4000.0;
-        /** Fraction of the FIT budget banked at progress 0. */
-        double bank_fraction = 0.10;
-        /** Fractional overshoot that triggers a step down. */
-        double down_margin = 0.02;
-        /** Fractional slack that allows a step up. */
-        double up_margin = 0.10;
-        /** Minimum intervals between level changes (settling). */
-        std::uint32_t settle_intervals = 3;
-    };
-
-    SlackBankController(Params params, std::size_t num_levels,
-                        std::size_t start_level);
-
-    /** Average FIT allowed at @p progress through the window
-     *  (progress in [0, 1]). */
-    double allowedFit(double progress) const;
-
-    /**
-     * Feed one interval's lifetime-average FIT and the fraction of
-     * the control window already elapsed; returns the ladder level
-     * for the next interval.
-     */
-    std::size_t observe(double avg_fit_so_far, double progress);
-
-    std::size_t level() const { return level_; }
-    std::uint64_t transitions() const { return transitions_; }
-
-  private:
-    Params params_;
-    std::size_t num_levels_;
-    std::size_t level_;
-    std::uint32_t cooldown_ = 0;
-    std::uint64_t transitions_ = 0;
+    LadderStepper ladder_;
 };
 
 /** Reactive DTM controller: cap the current hottest temperature. */
@@ -143,15 +135,12 @@ class DtmController
     /** Feed the current hottest block temperature (K). */
     std::size_t observe(double max_temp_k);
 
-    std::size_t level() const { return level_; }
-    std::uint64_t transitions() const { return transitions_; }
+    std::size_t level() const { return ladder_.level(); }
+    std::uint64_t transitions() const { return ladder_.transitions(); }
 
   private:
     Params params_;
-    std::size_t num_levels_;
-    std::size_t level_;
-    std::uint32_t cooldown_ = 0;
-    std::uint64_t transitions_ = 0;
+    LadderStepper ladder_;
 };
 
 } // namespace drm

@@ -83,9 +83,6 @@ writeFailCounter()
     return c;
 }
 
-/** The replicated-mode epoch header ("!epoch N"). */
-constexpr const char *epoch_tag = "!epoch";
-
 /**
  * Parse one serialized record line into (key, value). False on
  * stale versions, short or non-numeric lines -- the same policy the
@@ -113,8 +110,8 @@ parseRecordLine(const std::string &line, std::string &key,
 
 } // namespace
 
-EvaluationCache::EvaluationCache(std::string path, bool replicated)
-    : path_(std::move(path)), replicated_(replicated)
+EvaluationCache::EvaluationCache(std::string path)
+    : path_(std::move(path))
 {
     if (path_.empty())
         return; // In-memory only: no log, no lock sidecar.
@@ -122,17 +119,12 @@ EvaluationCache::EvaluationCache(std::string path, bool replicated)
     // Advisory cross-process coordination: hold a shared lock on a
     // sidecar for as long as this cache (and its appender) lives.
     // Compaction below upgrades to exclusive, so it can never rename
-    // the log out from under another process's open appender. In
-    // replicated mode the log is process-private (a backend's shard
-    // copy, re-warmable from peers via cache_append), so the sidecar
-    // is skipped and the epoch header coordinates instead.
-    if (!replicated_) {
-        lock_fd_ = ::open((path_ + ".lock").c_str(),
-                          O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-        if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_SH) != 0) {
-            ::close(lock_fd_);
-            lock_fd_ = -1;
-        }
+    // the log out from under another process's open appender.
+    lock_fd_ = ::open((path_ + ".lock").c_str(),
+                      O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_SH) != 0) {
+        ::close(lock_fd_);
+        lock_fd_ = -1;
     }
 #endif
 
@@ -142,17 +134,6 @@ EvaluationCache::EvaluationCache(std::string path, bool replicated)
         std::ifstream in(path_);
         std::string line;
         while (in && std::getline(in, line)) {
-            // Epoch headers (replicated mode) are metadata, not
-            // records: adopt the highest and keep loading.
-            if (line.rfind(epoch_tag, 0) == 0) {
-                std::istringstream is(line);
-                std::string tag;
-                std::uint64_t e = 0;
-                if (is >> tag >> e &&
-                    e > epoch_.load(std::memory_order_relaxed))
-                    epoch_.store(e, std::memory_order_relaxed);
-                continue;
-            }
             ++lines;
             std::string key;
             CachedEvaluation v;
@@ -239,9 +220,7 @@ EvaluationCache::tryCompact(std::size_t lines)
     // non-blocking upgrade the shared lock may already be gone, so
     // re-acquire it (briefly blocking on at most one compacting
     // holder).
-    if (!replicated_ &&
-        (lock_fd_ < 0 ||
-         ::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0)) {
+    if (lock_fd_ < 0 || ::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
         if (lock_fd_ >= 0)
             ::flock(lock_fd_, LOCK_SH);
         return util::RampError{
@@ -258,24 +237,15 @@ EvaluationCache::tryCompact(std::size_t lines)
     std::ofstream out(tmp, std::ios::trunc);
     bool wrote = static_cast<bool>(out);
     if (wrote) {
-        // Replicated mode stamps the rewrite with a bumped epoch, so
-        // peers can tell a freshly compacted log from the one whose
-        // tail they were following.
-        const std::uint64_t next_epoch =
-            epoch_.load(std::memory_order_relaxed) + 1;
-        if (replicated_)
-            out << epoch_tag << ' ' << next_epoch << '\n';
         // ramp-lint: allow(lock-discipline): constructor-time compaction
         for (const auto &[key, value] : entries_)
             writeRecord(out, key, value);
         out.close();
         wrote = static_cast<bool>(out) &&
                 std::rename(tmp.c_str(), path_.c_str()) == 0;
-        if (wrote && replicated_)
-            epoch_.store(next_epoch, std::memory_order_relaxed);
     }
 #ifdef RAMP_HAVE_FLOCK
-    if (!replicated_ && lock_fd_ >= 0)
+    if (lock_fd_ >= 0)
         ::flock(lock_fd_, LOCK_SH); // downgrade for our lifetime
 #endif
     if (!wrote) {

@@ -34,7 +34,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -92,16 +91,8 @@ class EvaluationCache
      * holds anything but one line per live record. Missing files are
      * fine (cold cache); an empty path means in-memory only, same as
      * the default constructor.
-     *
-     * With @p replicated the cache runs in the cluster's replicated
-     * mode: the log belongs to exactly one process (a backend's
-     * private shard copy, re-warmable from peers), so the advisory
-     * flock sidecar is not taken; instead the log carries a
-     * `!epoch N` header and every compaction rewrites it with the
-     * epoch bumped -- peers stamp replicated records with the epoch
-     * so a stale snapshot is distinguishable from a live tail.
      */
-    explicit EvaluationCache(std::string path, bool replicated = false);
+    explicit EvaluationCache(std::string path);
 
     /** Releases the advisory cross-process lock, if one is held. */
     ~EvaluationCache();
@@ -131,15 +122,9 @@ class EvaluationCache
     /** Usage counters since construction. */
     Stats stats() const;
 
-    /** Compaction epoch (replicated mode; 0 for a fresh log). */
-    std::uint64_t epoch() const
-    {
-        return epoch_.load(std::memory_order_relaxed);
-    }
-
     /**
      * Observes every locally-originated put() with the record's key
-     * and its serialized line (no trailing newline). Replicated-mode
+     * and its serialized line (no trailing newline). Replication
      * hook: the replicator tails appends through this and forwards
      * them to peers. Ingested peer records (putSerialized) do NOT
      * fire it, so replication cannot echo. Install before the cache
@@ -192,8 +177,6 @@ class EvaluationCache
     void appendLine(const std::string &text);
 
     std::string path_;
-    bool replicated_ = false;
-    std::atomic<std::uint64_t> epoch_{0};
     AppendObserver observer_;
     // ramp-lint: guarded_by(mutex_)
     std::map<std::string, CachedEvaluation> entries_;

@@ -71,8 +71,6 @@ TransientRunner::run(const workload::AppProfile &app,
                             power::poweredFractions(cfg));
     DrmController drm_ctl(params_.drm, ladder.size(), base_level);
     DtmController dtm_ctl(params_.dtm, ladder.size(), base_level);
-    SlackBankController slack_ctl(params_.slack, ladder.size(),
-                                  base_level);
 
     // Sensor conditioning in front of each controller. Clean readings
     // pass through bit-exactly, so these change nothing on a
@@ -210,36 +208,16 @@ TransientRunner::run(const workload::AppProfile &app,
                 level = failsafe_level;
             out.failsafe = temp_reading.failsafe;
             break;
-          case Policy::SlackDrm:
-            // Progress through the run's FIT budget window: the
-            // allowance decays to the flat target by the last
-            // interval.
-            level = slack_ctl.observe(
-                fit_reading.value,
-                static_cast<double>(i + 1) /
-                    static_cast<double>(params_.num_intervals));
-            if (fit_reading.failsafe)
-                level = failsafe_level;
-            out.failsafe = fit_reading.failsafe;
-            break;
         }
         result.degradation.failsafe_intervals += out.failsafe;
         result.trace.push_back(out);
     }
 
     result.final_avg_fit = engine.report().totalFit();
-    switch (policy) {
-      case Policy::None:
-      case Policy::Drm:
-        result.level_transitions = drm_ctl.transitions();
-        break;
-      case Policy::Dtm:
-        result.level_transitions = dtm_ctl.transitions();
-        break;
-      case Policy::SlackDrm:
-        result.level_transitions = slack_ctl.transitions();
-        break;
-    }
+    // Policy::None never observes, so either controller reports 0.
+    result.level_transitions = policy == Policy::Dtm
+                                   ? dtm_ctl.transitions()
+                                   : drm_ctl.transitions();
     result.avg_uops_per_second = perf_sum / params_.num_intervals;
 
     auto &deg = result.degradation;

@@ -37,10 +37,9 @@ namespace drm {
 
 /** Which feedback policy drives the DVS ladder. */
 enum class Policy {
-    None,     ///< Pin the base operating point (4 GHz / 1.0 V).
-    Drm,      ///< DrmController on lifetime-average FIT.
-    Dtm,      ///< DtmController on instantaneous max temperature.
-    SlackDrm, ///< SlackBankController: front-loaded FIT allowance.
+    None, ///< Pin the base operating point (4 GHz / 1.0 V).
+    Drm,  ///< DrmController on lifetime-average FIT.
+    Dtm,  ///< DtmController on instantaneous max temperature.
 };
 
 /** Controls for a transient run. */
@@ -54,7 +53,6 @@ struct TransientParams
 
     DrmController::Params drm{};
     DtmController::Params dtm{};
-    SlackBankController::Params slack{};
     power::PowerParams power{};
     thermal::ThermalParams thermal{};
 

@@ -182,12 +182,12 @@ parseFaultPlan(std::string_view json_text)
     FaultPlan plan;
     for (const auto &[key, val] : doc->object) {
         if (key == "seed") {
-            if (!val.isNumber() || val.number < 0.0 ||
-                val.number != std::floor(val.number))
+            const auto seed = val.asUint();
+            if (!seed)
                 return RampError{ErrorCode::InvalidInput,
                                  "fault plan: seed must be a "
                                  "non-negative integer"};
-            plan.seed = static_cast<std::uint64_t>(val.number);
+            plan.seed = *seed;
         } else if (key == "faults") {
             if (!val.isObject())
                 return RampError{ErrorCode::InvalidInput,

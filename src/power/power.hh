@@ -120,12 +120,6 @@ class PowerModel
     const PowerParams &params() const { return params_; }
     const sim::MachineConfig &config() const { return cfg_; }
 
-    /** Powered-on fractions used by this model. */
-    const sim::PerStructure<double> &onFractions() const
-    {
-        return on_frac_;
-    }
-
   private:
     sim::MachineConfig cfg_;
     PowerParams params_;

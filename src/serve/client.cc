@@ -107,11 +107,14 @@ Session::open(ClientOptions opts, int max_v)
     }
     const JsonValue *negotiated =
         reply.value().result.find("negotiated_v");
-    if (!negotiated || !negotiated->isNumber())
+    const auto version =
+        negotiated ? negotiated->asUint() : std::nullopt;
+    if (!version)
         return RampError{ErrorCode::InvalidInput,
                          "hello reply is missing 'negotiated_v'"};
     return Session(std::move(client.value()),
-                   static_cast<int>(negotiated->number));
+                   static_cast<int>(std::min<std::uint64_t>(
+                       *version, protocol_version_max)));
 }
 
 Result<void>

@@ -40,13 +40,10 @@ onSignal(int sig)
 std::string
 badRequestReply(std::string_view payload, std::string_view message)
 {
-    std::uint64_t id = 0;
     const auto doc = util::parseJson(payload, nullptr);
-    if (doc && doc->isObject())
-        if (const util::JsonValue *v = doc->find("id");
-            v && v->isNumber() && v->number >= 0.0)
-            id = static_cast<std::uint64_t>(v->number);
-    return encodeErrorReply(id, err_bad_request, message);
+    const util::JsonValue *id = doc ? doc->find("id") : nullptr;
+    return encodeErrorReply(id ? id->asUint().value_or(0) : 0,
+                            err_bad_request, message);
 }
 
 } // namespace

@@ -111,7 +111,7 @@ constexpr FieldRule remaining_lifetime_fields[] = {
 constexpr FieldRule cache_append_fields[] = {
     {Field::Key, "key", true, 2},
     {Field::Record, "record", true, 2},
-    {Field::Epoch, "epoch", true, 2},
+    {Field::Epoch, "epoch", false, 2},
 };
 
 constexpr FieldRule select_chip_fields[] = {
@@ -158,16 +158,6 @@ findField(const TypeRule &rule, std::string_view name)
     return nullptr;
 }
 
-/** Non-negative integer member (ids, config indexes, versions). */
-Result<std::uint64_t>
-nonNegativeInt(const JsonValue &v)
-{
-    if (!v.isNumber() || v.number < 0.0 ||
-        v.number != std::floor(v.number))
-        return RampError{ErrorCode::InvalidInput, "not an integer"};
-    return static_cast<std::uint64_t>(v.number);
-}
-
 /** Parse one table field's value into the request. */
 Result<void>
 parseField(const FieldRule &rule, const JsonValue &value,
@@ -194,13 +184,13 @@ parseField(const FieldRule &rule, const JsonValue &value,
         return {};
       }
       case Field::Config: {
-        auto cfg = nonNegativeInt(value);
+        const auto cfg = value.asUint();
         if (!cfg)
             return RampError{ErrorCode::InvalidInput,
                              util::cat(requestTypeName(req.type),
                                        " needs a non-negative "
                                        "integer 'config'")};
-        req.config = static_cast<std::size_t>(cfg.value());
+        req.config = static_cast<std::size_t>(*cfg);
         return {};
       }
       case Field::TQualK: {
@@ -236,13 +226,13 @@ parseField(const FieldRule &rule, const JsonValue &value,
         return {};
       }
       case Field::MaxV: {
-        auto v = nonNegativeInt(value);
+        const auto v = value.asUint();
         if (!v)
             return RampError{ErrorCode::InvalidInput,
                              "hello needs a non-negative integer "
                              "'max_v'"};
-        req.max_v = static_cast<int>(
-            std::min<std::uint64_t>(v.value(), 1'000'000));
+        req.max_v =
+            static_cast<int>(std::min<std::uint64_t>(*v, 1'000'000));
         return {};
       }
       case Field::Chip:
@@ -260,12 +250,12 @@ parseField(const FieldRule &rule, const JsonValue &value,
         req.state = value;
         return {};
       case Field::Seq: {
-        auto s = nonNegativeInt(value);
+        const auto s = value.asUint();
         if (!s)
             return RampError{ErrorCode::InvalidInput,
                              "request field 'seq' must be a "
                              "non-negative integer"};
-        req.seq = s.value();
+        req.seq = *s;
         return {};
       }
       case Field::Key:
@@ -282,15 +272,14 @@ parseField(const FieldRule &rule, const JsonValue &value,
                              "'record'"};
         req.record = value.str;
         return {};
-      case Field::Epoch: {
-        auto e = nonNegativeInt(value);
-        if (!e)
+      case Field::Epoch:
+        // Sent by older peers, then ignored: the cache no longer
+        // keeps a compaction epoch.
+        if (!value.asUint())
             return RampError{ErrorCode::InvalidInput,
                              "cache_append needs a non-negative "
                              "integer 'epoch'"};
-        req.epoch = e.value();
         return {};
-      }
       case Field::Apps: {
         if (!value.isArray() || value.array.empty())
             return RampError{ErrorCode::InvalidInput,
@@ -366,6 +355,7 @@ encodeField(const FieldRule &rule, const Request &req,
                  JsonValue::makeNumber(req.t_design_k));
         return;
       case Field::Surrogate:
+      case Field::Epoch:
         return;
       case Field::MaxV:
         root.set("max_v", JsonValue::makeNumber(
@@ -387,10 +377,6 @@ encodeField(const FieldRule &rule, const Request &req,
         return;
       case Field::Record:
         root.set("record", JsonValue::makeString(req.record));
-        return;
-      case Field::Epoch:
-        root.set("epoch", JsonValue::makeNumber(
-                              static_cast<double>(req.epoch)));
         return;
       case Field::Apps: {
         JsonValue apps = JsonValue::makeArray();
@@ -482,27 +468,27 @@ parseRequest(std::string_view payload)
     Request req;
 
     const JsonValue *id = doc->find("id");
-    if (!id || !id->isNumber() || id->number < 0.0 ||
-        id->number != std::floor(id->number))
+    const auto id_value = id ? id->asUint() : std::nullopt;
+    if (!id_value)
         return RampError{ErrorCode::InvalidInput,
                          "request needs a non-negative integer "
                          "'id'"};
-    req.id = static_cast<std::uint64_t>(id->number);
+    req.id = *id_value;
 
     if (const JsonValue *v = doc->find("v")) {
-        auto ver = nonNegativeInt(*v);
+        const auto ver = v->asUint();
         if (!ver)
             return RampError{ErrorCode::InvalidInput,
                              "request field 'v' must be a "
                              "non-negative integer"};
-        if (ver.value() > protocol_version_max)
+        if (*ver > protocol_version_max)
             return RampError{
                 ErrorCode::InvalidInput,
-                util::cat("protocol version ", ver.value(),
+                util::cat("protocol version ", *ver,
                           " is newer than this server speaks (max ",
                           protocol_version_max,
                           "); send a hello to negotiate")};
-        req.version = static_cast<int>(ver.value());
+        req.version = static_cast<int>(*ver);
     }
 
     const JsonValue *type = doc->find("type");
@@ -624,21 +610,22 @@ parseReply(std::string_view payload)
                                    err)};
     Reply reply;
     const JsonValue *id = doc->find("id");
+    const auto id_value = id ? id->asUint() : std::nullopt;
     const JsonValue *ok = doc->find("ok");
-    if (!id || !id->isNumber() || !ok || !ok->isBool())
+    if (!id_value || !ok || !ok->isBool())
         return RampError{ErrorCode::InvalidInput,
                          "reply needs numeric 'id' and boolean "
                          "'ok'"};
-    reply.id = static_cast<std::uint64_t>(id->number);
+    reply.id = *id_value;
     reply.ok = ok->boolean;
     if (const JsonValue *v = doc->find("v")) {
-        auto ver = nonNegativeInt(*v);
+        const auto ver = v->asUint();
         if (!ver)
             return RampError{ErrorCode::InvalidInput,
                              "reply field 'v' must be a "
                              "non-negative integer"};
-        reply.version = static_cast<int>(
-            std::min<std::uint64_t>(ver.value(), 1'000'000));
+        reply.version =
+            static_cast<int>(std::min<std::uint64_t>(*ver, 1'000'000));
     }
     if (reply.ok) {
         const JsonValue *result = doc->find("result");

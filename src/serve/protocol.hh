@@ -37,7 +37,7 @@
  *   {"id":8,"v":2,"type":"remaining_lifetime","chip":"fleet-0042",
  *    "app":"gzip","space":"DVS","t_qual_k":345}
  *   {"id":9,"v":2,"type":"cache_append","key":"gzip|w128...",
- *    "record":"3 gzip|w128... 1234 ...","epoch":2}
+ *    "record":"3 gzip|w128... 1234 ..."}
  *   {"id":10,"v":3,"type":"select_chip","apps":["gzip","MPGdec"],
  *    "space":"DVS","policy":"global",
  *    "floorplan":{"cores":[...]},"t_qual_k":345}
@@ -61,8 +61,9 @@
  * is the legacy unsequenced form, merged unconditionally.
  *
  * cache_append is the backend-to-backend replication verb: one
- * serialized eval-cache record, stamped with the sender's compaction
- * epoch, applied idempotently by record key (drm/eval_cache.hh). A
+ * serialized eval-cache record, applied idempotently by record key
+ * (drm/eval_cache.hh). Older senders also stamp an `epoch`, which is
+ * validated as a non-negative integer and ignored. A
  * restarted backend re-warms its cache from the snapshots its peers
  * push on (re)connect. The router never forwards it from clients.
  *
@@ -173,8 +174,6 @@ struct Request
     std::string key;
     /** cache_append: the full serialized record line. */
     std::string record;
-    /** cache_append: the sender's compaction epoch. */
-    std::uint64_t epoch = 0;
 
     /** select_chip: one application name per core. */
     std::vector<std::string> core_apps;

@@ -46,9 +46,10 @@ usage(const char *prog, std::FILE *out)
         "  --aging-state PATH  per-chip aging registry: loaded at\n"
         "                      start (corrupt files quarantined),\n"
         "                      saved at drain\n"
-        "  --peers P1,P2,...   peer ramp_served ports: run the eval\n"
-        "                      cache in replicated mode and stream\n"
-        "                      appends to the peers (cache_append)\n"
+        "  --peers P1,P2,...   peer ramp_served ports: stream every\n"
+        "                      eval-cache append to the peers\n"
+        "                      (cache_append); give each peer its\n"
+        "                      own --cache\n"
         "  --metrics PATH      telemetry snapshot at exit\n"
         "  --fault-plan P      fault plan (inline JSON or file)\n"
         "  --fault-seed N      override the plan's seed\n"
@@ -124,10 +125,6 @@ main(int argc, char **argv)
             if (!list)
                 badFlag(prog, list.error().message);
             peers = list.value();
-            // Peered daemons own their cache log privately (peers
-            // re-warm each other over the wire), so the flock
-            // sidecar is skipped and the log carries epoch headers.
-            service_opts.replicated_cache = true;
         }
         else if (arg == "--metrics")
             metrics_path = value;

@@ -93,7 +93,6 @@ Replicator::sendRecord(Client &client, const std::string &key,
     req.type = RequestType::CacheAppend;
     req.key = key;
     req.record = line;
-    req.epoch = cache_.epoch();
     auto reply = client.call(std::move(req));
     if (!reply)
         return false; // Transport failure: reconnect + resync.

@@ -2,9 +2,9 @@
  * @file
  * Eval-cache replication between ramp_served peers.
  *
- * Each backend in a routed cluster owns a process-private evaluation
- * cache (ServiceOptions::replicated_cache). The Replicator keeps the
- * peers' caches converged: every local cache append is tailed through
+ * Each backend in a routed cluster owns a private evaluation-cache
+ * log (its own --cache path). The Replicator keeps the peers' caches
+ * converged: every local cache append is tailed through
  * EvaluationCache::setAppendObserver() into a bounded per-peer queue
  * and pushed to that peer as a v2 cache_append request. Records are
  * idempotent by key on the receiving side (putSerialized), so the

@@ -28,7 +28,7 @@ using util::Result;
 
 EvaluationService::EvaluationService(ServiceOptions opts)
     : opts_(std::move(opts)),
-      cache_(opts_.cache_path, opts_.replicated_cache),
+      cache_(opts_.cache_path),
       pool_(opts_.threads),
       explorer_(opts_.eval_params, &cache_, &pool_),
       apps_(workload::standardApps())
@@ -353,8 +353,6 @@ EvaluationService::cacheAppend(const Request &req)
     out.set("applied", JsonValue::makeBool(applied));
     out.set("records", JsonValue::makeNumber(
                            static_cast<double>(cache_.size())));
-    out.set("epoch", JsonValue::makeNumber(
-                         static_cast<double>(cache_.epoch())));
     return out;
 }
 
@@ -443,8 +441,10 @@ EvaluationService::chipState(const std::string &chip) const
 
 namespace {
 
-/** Registry files share the state schema's version number. */
-constexpr int registry_version = aging::aging_state_version;
+/** Registry file version. v1 held only the chips; v2 adds each
+ *  chip's last applied report_usage seq, so a restart cannot apply
+ *  a replayed report twice. */
+constexpr std::uint64_t registry_version = 2;
 
 telemetry::Counter &
 registryQuarantineCounter()
@@ -454,33 +454,42 @@ registryQuarantineCounter()
     return c;
 }
 
-/** Parse {"v":N,"chips":{name:state}}; CorruptRecord on any shape
+/** A loaded registry: the chips and their last applied seqs. */
+struct Registry
+{
+    std::map<std::string, aging::AgingState> chips;
+    std::map<std::string, std::uint64_t> seq;
+};
+
+/** Parse {"v":1,"chips":{name:state}} or v2's
+ *  {"v":2,"chips":{...},"seq":{name:N}}; CorruptRecord on any shape
  *  defect, InvalidInput when the version is from the future. */
-Result<std::map<std::string, aging::AgingState>>
+Result<Registry>
 registryFromJson(const JsonValue &doc)
 {
-    if (!doc.isObject() || doc.object.size() != 2)
+    const JsonValue *v = doc.find("v"); // nullptr unless an object
+    const auto version = v ? v->asUint() : std::nullopt;
+    if (!version || *version == 0)
         return RampError{ErrorCode::CorruptRecord,
-                         "aging registry must be an object with "
-                         "exactly 'v' and 'chips'"};
-    const JsonValue *v = doc.find("v");
-    if (!v || !v->isNumber() ||
-        v->number != static_cast<double>(static_cast<int>(v->number)))
-        return RampError{ErrorCode::CorruptRecord,
-                         "aging registry needs an integer 'v'"};
-    if (static_cast<int>(v->number) > registry_version)
+                         "aging registry needs a positive integer "
+                         "'v'"};
+    if (*version > registry_version)
         return RampError{
             ErrorCode::InvalidInput,
-            util::cat("aging registry version ",
-                      static_cast<int>(v->number),
+            util::cat("aging registry version ", *version,
                       " is newer than this build supports (v",
                       registry_version,
                       "); refusing to load or quarantine it")};
+    if (doc.object.size() != (*version == 1 ? 2u : 3u))
+        return RampError{ErrorCode::CorruptRecord,
+                         util::cat("aging registry v", *version,
+                                   " must hold exactly 'v', 'chips'",
+                                   *version == 1 ? "" : " and 'seq'")};
     const JsonValue *chips = doc.find("chips");
     if (!chips || !chips->isObject())
         return RampError{ErrorCode::CorruptRecord,
                          "aging registry needs a 'chips' object"};
-    std::map<std::string, aging::AgingState> out;
+    Registry out;
     for (const auto &[name, state_doc] : chips->object) {
         auto state = aging::agingStateFromJson(state_doc);
         if (!state)
@@ -488,7 +497,23 @@ registryFromJson(const JsonValue &doc)
                 state.error().code,
                 util::cat("aging registry chip '", name, "': ",
                           state.error().message)};
-        out.emplace(name, std::move(state.value()));
+        out.chips.emplace(name, std::move(state.value()));
+    }
+    if (*version == 1)
+        return out; // Every chip's seq starts at 0.
+    const JsonValue *seq = doc.find("seq");
+    if (!seq || !seq->isObject())
+        return RampError{ErrorCode::CorruptRecord,
+                         "aging registry needs a 'seq' object"};
+    for (const auto &[name, n] : seq->object) {
+        const auto last = n.asUint();
+        if (!last || !out.chips.count(name))
+            return RampError{
+                ErrorCode::CorruptRecord,
+                util::cat("aging registry seq '", name,
+                          "' must be a non-negative integer for a "
+                          "listed chip")};
+        out.seq.emplace(name, *last);
     }
     return out;
 }
@@ -507,10 +532,10 @@ EvaluationService::loadAgingRegistry(const std::string &path)
     const auto doc = util::parseJson(text.str(), &err);
     auto parsed =
         doc ? registryFromJson(*doc)
-            : Result<std::map<std::string, aging::AgingState>>(
-                  RampError{ErrorCode::CorruptRecord,
-                            util::cat("aging registry '", path,
-                                      "' is not valid JSON: ", err)});
+            : Result<Registry>(RampError{
+                  ErrorCode::CorruptRecord,
+                  util::cat("aging registry '", path,
+                            "' is not valid JSON: ", err)});
     if (!parsed) {
         if (parsed.error().code == ErrorCode::InvalidInput)
             return parsed.error(); // Future version: hard stop.
@@ -524,7 +549,8 @@ EvaluationService::loadAgingRegistry(const std::string &path)
         return {};
     }
     std::lock_guard lock(aging_mu_);
-    chips_ = std::move(parsed.value());
+    chips_ = std::move(parsed.value().chips);
+    chip_seq_ = std::move(parsed.value().seq);
     return {};
 }
 
@@ -532,14 +558,21 @@ Result<void>
 EvaluationService::saveAgingRegistry(const std::string &path) const
 {
     JsonValue chips = JsonValue::makeObject();
+    JsonValue seq = JsonValue::makeObject();
     {
         std::lock_guard lock(aging_mu_);
         for (const auto &[name, state] : chips_)
             chips.set(name, aging::toJson(state));
+        for (const auto &[name, last] : chip_seq_)
+            if (last != 0)
+                seq.set(name, JsonValue::makeNumber(
+                                  static_cast<double>(last)));
     }
     JsonValue doc = JsonValue::makeObject();
-    doc.set("v", JsonValue::makeNumber(registry_version));
+    doc.set("v", JsonValue::makeNumber(
+                     static_cast<double>(registry_version)));
     doc.set("chips", std::move(chips));
+    doc.set("seq", std::move(seq));
 
     return util::saveJson(path, doc);
 }

@@ -65,10 +65,6 @@ struct ServiceOptions
     std::size_t max_apps = 0;
     /** Simulation controls (keyed into the cache). */
     core::EvalParams eval_params{};
-    /** Run the eval cache in replicated (epoch-header) mode: the
-     *  log is process-private and peers re-warm it via cache_append,
-     *  so the flock sidecar is skipped (drm/eval_cache.hh). */
-    bool replicated_cache = false;
 };
 
 /** The long-lived evaluation state behind the server. */
@@ -159,7 +155,7 @@ class EvaluationService
      * a peer backend. Idempotent by record key; malformed records
      * are InvalidInput. Thread-safe (cache locks only; no pool), so
      * the server answers it inline from reader threads. Returns
-     * {"applied":bool,"records":N,"epoch":E}.
+     * {"applied":bool,"records":N}.
      */
     [[nodiscard]] util::Result<util::JsonValue> cacheAppend(const Request &req);
 
@@ -180,7 +176,9 @@ class EvaluationService
     chipState(const std::string &chip) const;
 
     /**
-     * Load a persisted chip registry ({"v":1,"chips":{name:state}})
+     * Load a persisted chip registry
+     * ({"v":2,"chips":{name:state},"seq":{name:N}}, or v1 without
+     * "seq", whose chips all start at seq 0)
      * with recoverAgingState semantics per the whole file: missing
      * file = empty registry, corrupt file = quarantine + empty,
      * future version = structured InvalidInput.

@@ -224,6 +224,16 @@ JsonValue::at(std::string_view key) const
     return *v;
 }
 
+std::optional<std::uint64_t>
+JsonValue::asUint() const
+{
+    constexpr double max_exact = 9007199254740992.0; // 2^53
+    if (!isNumber() || !(number >= 0.0) || number > max_exact ||
+        number != std::floor(number))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(number);
+}
+
 JsonValue
 JsonValue::makeNull()
 {

@@ -117,6 +117,14 @@ struct JsonValue
     /** find() that dies (panic) when the key is missing. */
     const JsonValue &at(std::string_view key) const;
 
+    /**
+     * The number as a non-negative integer (ids, indexes, versions,
+     * seeds). nullopt when it is not a number, negative, fractional,
+     * or above 2^53, past which a double no longer holds every
+     * integer -- so the conversion can never overflow.
+     */
+    std::optional<std::uint64_t> asUint() const;
+
     // --- Construction helpers (building documents to serialize) ---
 
     static JsonValue makeNull();

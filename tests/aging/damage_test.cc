@@ -130,7 +130,7 @@ TEST(DamageIntegrator, SerialAndPooledIntegrationAreBitIdentical)
     util::ThreadPool pool(2);
     DamageIntegrator pooled(core::Qualification(spec),
                             uniform(1.0));
-    integrateEpochs(pooled, epochs, &pool);
+    pooled.integrate(epochs, &pool);
 
     // Exact double equality, not EXPECT_NEAR: the batch fan is over
     // pairs with per-pair serial epoch order, so thread count must

@@ -3,8 +3,7 @@
  * Slack-banking policy tests: the budget schedule starts at the
  * qualification margin and ends at exactly one life; banked slack
  * boosts the effective T_qual and a deficit throttles it, both
- * clamped; the ETA helper anchors to the service life; and the
- * window controller's front-loaded allowance decays to the target.
+ * clamped; and the ETA helper anchors to the service life.
  */
 
 #include <cmath>
@@ -14,7 +13,6 @@
 
 #include "aging/slack_bank.hh"
 #include "core/lifetime.hh"
-#include "drm/controller.hh"
 
 namespace ramp {
 namespace aging {
@@ -117,42 +115,6 @@ TEST(SlackBank, RemainingHoursAnchorsToTheServiceLife)
     // No failure rate, no clock.
     EXPECT_TRUE(std::isinf(remainingHoursAtFit(
         agedState(0.2, 0.0), 0.0, target_fit, life_years)));
-}
-
-TEST(SlackBankController, AllowanceDecaysFromBankToTarget)
-{
-    drm::SlackBankController::Params params;
-    params.target_fit = 4000.0;
-    params.bank_fraction = 0.10;
-    drm::SlackBankController ctl(params, 5, 2);
-
-    EXPECT_DOUBLE_EQ(ctl.allowedFit(0.0),
-                     params.target_fit * 1.10);
-    EXPECT_DOUBLE_EQ(ctl.allowedFit(1.0), params.target_fit);
-    EXPECT_GT(ctl.allowedFit(0.25), ctl.allowedFit(0.75));
-    // Progress outside the window clamps instead of extrapolating.
-    EXPECT_DOUBLE_EQ(ctl.allowedFit(-1.0), ctl.allowedFit(0.0));
-    EXPECT_DOUBLE_EQ(ctl.allowedFit(2.0), ctl.allowedFit(1.0));
-}
-
-TEST(SlackBankController, StepsUpOnSlackAndDownOnOverspend)
-{
-    drm::SlackBankController::Params params;
-    params.settle_intervals = 0;
-    drm::SlackBankController ctl(params, 5, 2);
-
-    // Far under the early allowance: spend the bank, step up.
-    EXPECT_EQ(ctl.observe(0.1 * params.target_fit, 0.0), 3u);
-    // Far over: step back down.
-    EXPECT_EQ(ctl.observe(2.0 * params.target_fit, 0.0), 2u);
-    EXPECT_EQ(ctl.transitions(), 2u);
-
-    // The same average FIT that fits inside the early bank is an
-    // overspend at end-of-window.
-    drm::SlackBankController late(params, 5, 2);
-    const double avg = params.target_fit * 1.05;
-    EXPECT_EQ(late.observe(avg, 0.0), 2u); // Inside the bank: hold.
-    EXPECT_EQ(late.observe(avg, 1.0), 1u); // Past it: throttle.
 }
 
 } // namespace

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the closed-loop transient runner: budget convergence for
- * DRM, temperature capping for DTM, and the pinned baseline.
+ * DRM, temperature capping for DTM, the pinned baseline, and golden
+ * level walks pinned bit for bit.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "drm/transient.hh"
 
@@ -125,6 +128,74 @@ TEST(Transient, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.final_avg_fit, b.final_avg_fit);
     for (std::size_t i = 0; i < a.trace.size(); ++i)
         EXPECT_EQ(a.trace[i].level, b.trace[i].level);
+}
+
+/** A short closed-loop run's level walk and end-of-run figures,
+ *  pinned bit for bit (hex floats). */
+struct GoldenRun
+{
+    std::vector<std::size_t> levels;
+    std::uint64_t transitions;
+    double final_avg_fit;
+    double max_temp_seen_k;
+    double avg_uops_per_second;
+};
+
+void
+expectGolden(const TransientResult &res, const GoldenRun &golden)
+{
+    std::vector<std::size_t> levels;
+    for (const auto &s : res.trace)
+        levels.push_back(s.level);
+    EXPECT_EQ(levels, golden.levels);
+    EXPECT_EQ(res.level_transitions, golden.transitions);
+    EXPECT_EQ(res.final_avg_fit, golden.final_avg_fit);
+    EXPECT_EQ(res.max_temp_seen_k, golden.max_temp_seen_k);
+    EXPECT_EQ(res.avg_uops_per_second, golden.avg_uops_per_second);
+}
+
+TransientParams
+goldenParams()
+{
+    TransientParams p = fastParams();
+    p.num_intervals = 40;
+    return p;
+}
+
+TEST(TransientGolden, DrmWalkIsPinned)
+{
+    // Steps down off the base rung, climbs above it on banked slack,
+    // then settles back below it.
+    const TransientRunner runner(goldenParams());
+    const auto res = runner.run(workload::findApp("MP3dec"),
+                                makeQual(370.0), Policy::Drm);
+    expectGolden(res,
+                 {{6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+                   6, 6, 6, 6, 7, 7, 7, 7, 6, 6, 6, 6, 5, 5,
+                   5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3},
+                  7,
+                  0x1.de581a5782fa4p+11,
+                  0x1.8e8a8d24c0909p+8,
+                  0x1.b3deadd8630fep+33});
+}
+
+TEST(TransientGolden, DtmWalkIsPinned)
+{
+    // Throttles to the bottom rung, climbs one rung once it cools
+    // below the guard band, and is pushed back down.
+    TransientParams p = goldenParams();
+    p.dtm.t_design_k = 360.0;
+    const TransientRunner runner(p);
+    const auto res = runner.run(workload::findApp("MP3dec"),
+                                makeQual(380.0), Policy::Dtm);
+    expectGolden(res,
+                 {{6, 5, 5, 5, 4, 4, 4, 3, 3, 3, 2, 2, 2, 1,
+                   1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0},
+                  8,
+                  0x1.bc33a8191e038p+9,
+                  0x1.84eefa3271bb9p+8,
+                  0x1.4be8b5cbda1aap+33});
 }
 
 TEST(TransientDeath, RejectsBadParams)

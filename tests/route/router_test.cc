@@ -530,7 +530,6 @@ TEST_F(RouterTest, CacheAppendFromAClientIsRejected)
     req.type = serve::RequestType::CacheAppend;
     req.key = "k";
     req.record = "k v";
-    req.epoch = 1;
     auto reply = client.value().call(std::move(req));
     ASSERT_TRUE(reply.ok()) << reply.error().str();
     ASSERT_FALSE(reply.value().ok);

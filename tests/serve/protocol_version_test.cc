@@ -225,13 +225,12 @@ TEST(ProtocolVersion, CacheAppendParsesStrictly)
     req.type = RequestType::CacheAppend;
     req.key = "cfg-key";
     req.record = "cfg-key 1 2 3";
-    req.epoch = 6;
     const std::string encoded = encodeRequest(req);
+    EXPECT_EQ(encoded.find("epoch"), std::string::npos);
     const auto parsed = parseRequest(encoded);
     ASSERT_TRUE(parsed.ok()) << parsed.error().str();
     EXPECT_EQ(parsed.value().key, "cfg-key");
     EXPECT_EQ(parsed.value().record, "cfg-key 1 2 3");
-    EXPECT_EQ(parsed.value().epoch, 6u);
 
     // The replication verb needs v2...
     EXPECT_FALSE(parseRequest(
@@ -239,7 +238,7 @@ TEST(ProtocolVersion, CacheAppendParsesStrictly)
                      "\"key\":\"k\",\"record\":\"k 1\","
                      "\"epoch\":0}")
                      .ok());
-    // ...and key, record, and epoch are all required.
+    // ...and key and record are both required.
     EXPECT_FALSE(parseRequest(
                      "{\"id\":1,\"v\":2,\"type\":\"cache_append\","
                      "\"record\":\"k 1\",\"epoch\":0}")
@@ -248,9 +247,17 @@ TEST(ProtocolVersion, CacheAppendParsesStrictly)
                      "{\"id\":1,\"v\":2,\"type\":\"cache_append\","
                      "\"key\":\"k\",\"epoch\":0}")
                      .ok());
+    // An older sender's epoch is still accepted, validated, and
+    // ignored.
+    EXPECT_TRUE(parseRequest(
+                    "{\"id\":1,\"v\":2,\"type\":\"cache_append\","
+                    "\"key\":\"k\",\"record\":\"k 1\","
+                    "\"epoch\":3}")
+                    .ok());
     EXPECT_FALSE(parseRequest(
                      "{\"id\":1,\"v\":2,\"type\":\"cache_append\","
-                     "\"key\":\"k\",\"record\":\"k 1\"}")
+                     "\"key\":\"k\",\"record\":\"k 1\","
+                     "\"epoch\":-1}")
                      .ok());
     // Foreign fields stay rejected.
     EXPECT_FALSE(parseRequest(

@@ -2,17 +2,14 @@
  * @file
  * Eval-cache replication: the serialized-record ingest path
  * (idempotency, mislabelled-record rejection, observer echo rules),
- * the epoch header and its compaction bump, snapshot export, and
- * the Replicator end-to-end -- records put on one node arrive on a
- * peer daemon via cache_append, both the pre-start snapshot resync
- * and the live tail.
+ * snapshot export, and the Replicator end-to-end -- records put on
+ * one node arrive on a peer daemon via cache_append, both the
+ * pre-start snapshot resync and the live tail.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,10 +51,10 @@ captureLine(drm::EvaluationCache &cache, const std::string &key,
 
 TEST(CacheReplicationTest, PutSerializedIsIdempotentByKey)
 {
-    drm::EvaluationCache source("", /*replicated=*/true);
+    drm::EvaluationCache source("");
     const std::string line = captureLine(source, "k1", 0.25);
 
-    drm::EvaluationCache sink("", true);
+    drm::EvaluationCache sink("");
     EXPECT_TRUE(sink.putSerialized("k1", line));
     EXPECT_EQ(sink.size(), 1u);
     // A replayed snapshot or an echoed record applies nothing.
@@ -67,10 +64,10 @@ TEST(CacheReplicationTest, PutSerializedIsIdempotentByKey)
 
 TEST(CacheReplicationTest, MislabelledAndMalformedRecordsRejected)
 {
-    drm::EvaluationCache source("", true);
+    drm::EvaluationCache source("");
     const std::string line = captureLine(source, "k1", 0.25);
 
-    drm::EvaluationCache sink("", true);
+    drm::EvaluationCache sink("");
     // The advertised key must match the line's own key.
     EXPECT_FALSE(sink.putSerialized("other-key", line));
     EXPECT_FALSE(sink.putSerialized("k1", "not a record line"));
@@ -79,10 +76,10 @@ TEST(CacheReplicationTest, MislabelledAndMalformedRecordsRejected)
 
 TEST(CacheReplicationTest, IngestNeverFiresTheObserver)
 {
-    drm::EvaluationCache source("", true);
+    drm::EvaluationCache source("");
     const std::string line = captureLine(source, "k1", 0.5);
 
-    drm::EvaluationCache sink("", true);
+    drm::EvaluationCache sink("");
     int fired = 0;
     sink.setAppendObserver(
         [&](const std::string &, const std::string &) {
@@ -96,7 +93,7 @@ TEST(CacheReplicationTest, IngestNeverFiresTheObserver)
 
 TEST(CacheReplicationTest, ExportRecordsRoundTripsThroughIngest)
 {
-    drm::EvaluationCache source("", true);
+    drm::EvaluationCache source("");
     source.put("a", sampleRecord(0.1));
     source.put("b", sampleRecord(0.2));
     source.put("c", sampleRecord(0.3));
@@ -104,42 +101,12 @@ TEST(CacheReplicationTest, ExportRecordsRoundTripsThroughIngest)
     const auto snapshot = source.exportRecords();
     ASSERT_EQ(snapshot.size(), 3u);
 
-    drm::EvaluationCache sink("", true);
+    drm::EvaluationCache sink("");
     for (const auto &[key, line] : snapshot)
         EXPECT_TRUE(sink.putSerialized(key, line));
     EXPECT_EQ(sink.size(), 3u);
     for (const char *key : {"a", "b", "c"})
         EXPECT_TRUE(sink.get(key).has_value());
-}
-
-TEST(CacheReplicationTest, CompactionBumpsTheEpoch)
-{
-    const std::string path = "replication_epoch_cache.txt";
-    std::remove(path.c_str());
-
-    std::string line;
-    {
-        drm::EvaluationCache cache(path, true);
-        EXPECT_EQ(cache.epoch(), 0u); // Fresh log.
-        line = captureLine(cache, "k1", 0.25);
-    }
-    // Duplicate the record on disk: the next load sees more lines
-    // than live entries and compacts, stamping a bumped epoch.
-    {
-        std::ofstream out(path, std::ios::app);
-        out << line << '\n' << line << '\n';
-    }
-    {
-        drm::EvaluationCache cache(path, true);
-        EXPECT_EQ(cache.size(), 1u);
-        EXPECT_EQ(cache.epoch(), 1u);
-    }
-    // An already-compact log keeps its epoch from the header.
-    {
-        drm::EvaluationCache cache(path, true);
-        EXPECT_EQ(cache.epoch(), 1u);
-    }
-    std::remove(path.c_str());
 }
 
 /** Spin until @p cache holds @p n records (or a deadline). */
@@ -161,12 +128,11 @@ waitForRecords(drm::EvaluationCache &cache, std::size_t n,
 
 TEST(ReplicatorTest, SnapshotResyncThenLiveTailReachThePeer)
 {
-    // The receiving daemon: a real Server whose service runs a
-    // replicated in-memory cache (cache_append is answered inline,
+    // The receiving daemon: a real Server whose service runs an
+    // in-memory cache (cache_append is answered inline,
     // so the engine never needs to warm).
     ServiceOptions sink_opts;
     sink_opts.cache_path = "";
-    sink_opts.replicated_cache = true;
     sink_opts.max_apps = 1;
     EvaluationService sink(sink_opts);
     Server server(sink, ServerOptions{});
@@ -174,7 +140,7 @@ TEST(ReplicatorTest, SnapshotResyncThenLiveTailReachThePeer)
 
     // The sending node's cache, with records that predate the
     // replicator: start() must push them as the initial snapshot.
-    drm::EvaluationCache source("", true);
+    drm::EvaluationCache source("");
     source.put("pre-1", sampleRecord(0.1));
     source.put("pre-2", sampleRecord(0.2));
 
@@ -200,10 +166,9 @@ TEST(ReplicatorTest, PeerOutageTriggersResyncOnReconnect)
 {
     ServiceOptions sink_opts;
     sink_opts.cache_path = "";
-    sink_opts.replicated_cache = true;
     sink_opts.max_apps = 1;
 
-    drm::EvaluationCache source("", true);
+    drm::EvaluationCache source("");
     source.put("a", sampleRecord(0.1));
 
     // Reserve the peer's port, then shut the daemon down before the

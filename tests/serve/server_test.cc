@@ -343,6 +343,46 @@ TEST_F(ServerTest, MalformedPayloadGetsBadRequestAndConnectionLives)
     EXPECT_EQ(reply2.value().id, 5u);
 }
 
+TEST_F(ServerTest, HugeWireIntegersAreBadRequestsNotCasts)
+{
+    // Integers past 2^53 used to be cast straight to uint64, which is
+    // undefined once they exceed its range.
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    auto sock = util::connectTcp(server.port(), 2'000);
+    ASSERT_TRUE(sock.ok());
+    const auto exchange = [&](const std::string &payload) {
+        EXPECT_TRUE(util::writeFrame(sock.value(), payload,
+                                     default_max_frame, 1'000)
+                        .ok());
+        auto frame =
+            util::readFrame(sock.value(), default_max_frame, 30'000);
+        EXPECT_TRUE(frame.ok() && frame.value().has_value());
+        auto reply = parseReply(frame.ok() && frame.value()
+                                    ? *frame.value()
+                                    : std::string{});
+        EXPECT_TRUE(reply.ok());
+        return reply.ok() ? reply.value() : Reply{};
+    };
+
+    const Reply huge_id = exchange("{\"id\":1e30,\"type\":\"stats\"}");
+    EXPECT_FALSE(huge_id.ok);
+    EXPECT_EQ(huge_id.error_code, err_bad_request);
+    EXPECT_EQ(huge_id.id, 0u);
+
+    const Reply huge_config = exchange(
+        "{\"id\":2,\"type\":\"evaluate\",\"app\":\"" + app_ +
+        "\",\"space\":\"DVS\",\"config\":1e300}");
+    EXPECT_FALSE(huge_config.ok);
+    EXPECT_EQ(huge_config.error_code, err_bad_request);
+    EXPECT_EQ(huge_config.id, 2u);
+
+    // The connection still serves.
+    const Reply stats = exchange("{\"id\":3,\"type\":\"stats\"}");
+    EXPECT_TRUE(stats.ok);
+    EXPECT_EQ(stats.id, 3u);
+}
+
 TEST_F(ServerTest, OversizedFrameIsRejectedThenDisconnected)
 {
     ServerOptions opts;

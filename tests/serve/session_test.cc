@@ -4,10 +4,12 @@
  * in-process server: hello negotiation, the v2 fleet verbs
  * (report_usage merging into the registry, remaining_lifetime
  * answering a slack-banking selection), local refusal of verbs the
- * negotiated version cannot carry, and the guarantee that legacy v0
- * clients still see byte-for-byte unversioned replies.
+ * negotiated version cannot carry, the guarantee that legacy v0
+ * clients still see byte-for-byte unversioned replies, and the aging
+ * registry's file round trip.
  */
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -321,6 +323,101 @@ TEST_F(SessionTest, StatsCountsHellosAndUsageReports)
     ASSERT_NE(counters->find("usage_reports"), nullptr);
     EXPECT_GE(counters->find("hellos")->number, 1.0);
     EXPECT_GE(counters->find("usage_reports")->number, 1.0);
+}
+
+/** A sequenced report_usage request adding @p hours to @p chip. */
+Request
+usageRequest(const std::string &chip, std::uint64_t seq, double hours)
+{
+    aging::AgingState st;
+    st.age_hours = hours;
+    Request req;
+    req.version = 2;
+    req.type = RequestType::ReportUsage;
+    req.chip = chip;
+    req.state = aging::toJson(st);
+    req.seq = seq;
+    return req;
+}
+
+/** A service that never evaluates: the registry needs no engine. */
+ServiceOptions
+registryOptions()
+{
+    ServiceOptions opts;
+    opts.cache_path = "";
+    opts.threads = 1;
+    opts.max_apps = 1;
+    return opts;
+}
+
+bool
+applied(const util::Result<util::JsonValue> &reply)
+{
+    EXPECT_TRUE(reply.ok()) << reply.error().str();
+    const auto *flag = reply.value().find("applied");
+    EXPECT_NE(flag, nullptr);
+    return flag && flag->boolean;
+}
+
+TEST(AgingRegistry, RestartRemembersAppliedSequenceNumbers)
+{
+    const std::string path =
+        testing::TempDir() + "ramp_registry_seq.json";
+    std::remove(path.c_str());
+    {
+        EvaluationService before(registryOptions());
+        EXPECT_TRUE(applied(
+            before.reportUsage(usageRequest("chip-a", 7, 100.0))));
+        EXPECT_FALSE(applied(
+            before.reportUsage(usageRequest("chip-a", 7, 100.0))));
+        ASSERT_TRUE(before.saveAgingRegistry(path).ok());
+    }
+
+    // The replay after a restart is still a replay: its damage must
+    // not be counted twice.
+    EvaluationService after(registryOptions());
+    ASSERT_TRUE(after.loadAgingRegistry(path).ok());
+    EXPECT_FALSE(applied(
+        after.reportUsage(usageRequest("chip-a", 7, 100.0))));
+    EXPECT_DOUBLE_EQ(after.chipState("chip-a")->age_hours, 100.0);
+    EXPECT_TRUE(applied(
+        after.reportUsage(usageRequest("chip-a", 8, 100.0))));
+    EXPECT_DOUBLE_EQ(after.chipState("chip-a")->age_hours, 200.0);
+    std::remove(path.c_str());
+}
+
+TEST(AgingRegistry, VersionOneFilesLoadWithEverySeqAtZero)
+{
+    const std::string path =
+        testing::TempDir() + "ramp_registry_v1.json";
+    const auto write = [&](int version) {
+        aging::AgingState st;
+        st.age_hours = 40.0;
+        util::JsonValue chips = util::JsonValue::makeObject();
+        chips.set("chip-b", aging::toJson(st));
+        util::JsonValue doc = util::JsonValue::makeObject();
+        doc.set("v", util::JsonValue::makeNumber(version));
+        doc.set("chips", std::move(chips));
+        ASSERT_TRUE(util::saveJson(path, doc).ok());
+    };
+
+    write(1);
+    EvaluationService service(registryOptions());
+    ASSERT_TRUE(service.loadAgingRegistry(path).ok());
+    ASSERT_TRUE(service.chipState("chip-b").has_value());
+    EXPECT_DOUBLE_EQ(service.chipState("chip-b")->age_hours, 40.0);
+    EXPECT_TRUE(applied(
+        service.reportUsage(usageRequest("chip-b", 1, 10.0))));
+    EXPECT_DOUBLE_EQ(service.chipState("chip-b")->age_hours, 50.0);
+
+    // A registry from a newer build is refused, not quarantined.
+    write(3);
+    EvaluationService newer(registryOptions());
+    const auto refused = newer.loadAgingRegistry(path);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.error().code, util::ErrorCode::InvalidInput);
+    std::remove(path.c_str());
 }
 
 } // namespace

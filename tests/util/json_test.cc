@@ -215,6 +215,22 @@ TEST(JsonParse, RoundTripsWriterOutput)
     EXPECT_TRUE(doc->at("tags").array[2].isNull());
 }
 
+TEST(JsonParse, AsUintTakesOnlyExactNonNegativeIntegers)
+{
+    const auto num = [](const char *text) {
+        return parseJson(text)->asUint();
+    };
+    EXPECT_EQ(num("0"), 0u);
+    EXPECT_EQ(num("42"), 42u);
+    EXPECT_EQ(num("9007199254740992"), 9007199254740992u); // 2^53
+    EXPECT_FALSE(num("9007199254740994").has_value());
+    EXPECT_FALSE(num("1e30").has_value());
+    EXPECT_FALSE(num("1e300").has_value());
+    EXPECT_FALSE(num("-1").has_value());
+    EXPECT_FALSE(num("1.5").has_value());
+    EXPECT_FALSE(num("\"7\"").has_value());
+}
+
 TEST(JsonParseDeath, AtMissingKeyPanics)
 {
     const auto doc = parseJson("{}");
