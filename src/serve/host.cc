@@ -20,8 +20,9 @@ using util::Result;
 
 namespace {
 
-/** Acceptor poll period: the drain latency, the reap cadence, and
- *  the back-off after a failed accept. */
+/** Acceptor poll period: the reap cadence and the back-off after a
+ *  failed accept. A drain does not wait for it: requestDrain() wakes
+ *  the acceptor at once. */
 constexpr int poll_ms = 200;
 
 volatile std::sig_atomic_t g_signal = 0;
@@ -69,7 +70,10 @@ ConnectionHost::start(std::function<void()> worker)
     auto listener = util::listenTcp(opts_.port);
     if (!listener)
         return listener.error();
-    listener_ = std::move(listener.value());
+    {
+        std::lock_guard lock(drain_mu_); // requestDrain() reads it.
+        listener_ = std::move(listener.value());
+    }
     port_ = listener_.port;
     acceptor_ = std::thread([this] { acceptLoop(); });
     worker_ = std::thread(std::move(worker));
@@ -82,6 +86,10 @@ ConnectionHost::requestDrain()
     {
         std::lock_guard lock(drain_mu_);
         draining_.store(true, std::memory_order_release);
+        // Wake the acceptor parked in poll() on the listener now,
+        // rather than when its poll period runs out. Under drain_mu_
+        // so wait() cannot close the listener underneath.
+        listener_.socket.shutdownBoth();
     }
     drain_cv_.notify_all();
 }
@@ -120,7 +128,10 @@ ConnectionHost::wait()
     for (auto &conn : conns)
         if (conn->thread.joinable())
             conn->thread.join();
-    listener_.socket.close();
+    {
+        std::lock_guard lock(drain_mu_);
+        listener_.socket.close();
+    }
     joined_ = true;
 }
 
@@ -145,7 +156,10 @@ ConnectionHost::acceptLoop()
             });
         }
         if (!accepted) {
-            if (accepted.error().code != ErrorCode::Timeout) {
+            // The drain's wake-up fails the accept; that is the drain,
+            // not an accept error.
+            if (accepted.error().code != ErrorCode::Timeout &&
+                !draining()) {
                 util::warn(util::cat("accept failed: ",
                                      accepted.error().message,
                                      " (retrying)"));

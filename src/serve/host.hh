@@ -103,7 +103,8 @@ class ConnectionHost
         return draining_.load(std::memory_order_acquire);
     }
 
-    /** Stop accepting and wake sleepFor() (idempotent). */
+    /** Stop accepting, waking the acceptor at once, and wake
+     *  sleepFor() (idempotent). */
     void requestDrain();
 
     /** Join the acceptor and the worker, then close and join every

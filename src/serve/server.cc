@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 // ramp-lint: guarded_by(queue_mu_): queue_
+// ramp-lint: guarded_by(queue_mu_): executing_
 
 #include <algorithm>
 #include <functional>
@@ -128,7 +129,9 @@ Server::handle(const std::shared_ptr<Connection> &conn, Request req,
     }
 
     // Admission control: the queue is bounded, and full or draining
-    // means an immediate structured rejection, never a hang.
+    // means an immediate structured rejection, never a hang. An idle
+    // server (nothing executing, nothing queued) runs the request
+    // right here instead, sparing it the hand-off to the batcher.
     {
         std::lock_guard lock(queue_mu_);
         if (draining()) {
@@ -138,37 +141,69 @@ Server::handle(const std::shared_ptr<Connection> &conn, Request req,
                                        req.version));
             return;
         }
-        if (queue_.size() >= opts_.queue_depth) {
-            rejected_.add();
-            sendReply(
-                conn, fault_key,
-                encodeErrorReply(
-                    req.id, err_overloaded,
-                    util::cat("admission queue is full (depth ",
-                              opts_.queue_depth, ")"),
-                    req.version));
+        if (executing_ || !queue_.empty()) {
+            if (queue_.size() >= opts_.queue_depth) {
+                rejected_.add();
+                sendReply(
+                    conn, fault_key,
+                    encodeErrorReply(
+                        req.id, err_overloaded,
+                        util::cat("admission queue is full (depth ",
+                                  opts_.queue_depth, ")"),
+                        req.version));
+                return;
+            }
+            // No notify: whichever executor finishes next hands the
+            // backlog to the batcher (see the end of this function
+            // and batchLoop).
+            queue_.push_back(Job{conn, std::move(req), fault_key,
+                                 std::chrono::steady_clock::now()});
+            queue_depth_.set(static_cast<double>(queue_.size()));
             return;
         }
-        queue_.push_back(Job{conn, std::move(req), fault_key,
-                             std::chrono::steady_clock::now()});
-        queue_depth_.set(static_cast<double>(queue_.size()));
+        executing_ = true;
     }
-    queue_cv_.notify_one();
+
+    // The batcher may still be warming the service up; call_once
+    // parks this thread until it has.
+    service_.ensureReady();
+    std::vector<Job> batch;
+    batch.push_back(Job{conn, std::move(req), fault_key,
+                        std::chrono::steady_clock::now()});
+    inline_.add();
+    runBatch(batch);
+    bool wake_batcher = false;
+    {
+        std::lock_guard lock(queue_mu_);
+        executing_ = false;
+        // Backlog that queued behind this run, or a drain that began
+        // during it, is the batcher's to take now.
+        wake_batcher = !queue_.empty() || draining();
+    }
+    if (wake_batcher)
+        queue_cv_.notify_one();
 }
 
 void
 Server::batchLoop()
 {
     service_.ensureReady();
+    std::vector<Job> batch;
     while (true) {
-        std::vector<Job> batch;
         {
             std::unique_lock lock(queue_mu_);
+            if (!batch.empty()) {
+                executing_ = false;
+                batch.clear();
+            }
+            // Backlog is taken only once the executor is free, so an
+            // inline run in flight keeps a drain waiting too.
             queue_cv_.wait(lock, [&] {
-                return !queue_.empty() || draining();
+                return !executing_ && (!queue_.empty() || draining());
             });
             if (queue_.empty())
                 return; // Draining and fully drained.
+            executing_ = true;
             const std::size_t take =
                 std::min(opts_.batch_max, queue_.size());
             batch.reserve(take);
@@ -188,8 +223,9 @@ Server::runBatch(std::vector<Job> &batch)
     const auto batch_t0 = std::chrono::steady_clock::now();
 
     // Single-flight: evaluate requests naming the same point share
-    // one evaluation. Only one batch is ever in flight (one batcher),
-    // so within-batch coalescing *is* global single-flight.
+    // one evaluation. Only one batch is ever in flight (one
+    // executor), so within-batch coalescing *is* global
+    // single-flight.
     using PointKey =
         std::tuple<std::string, drm::AdaptationSpace, std::size_t>;
     std::map<PointKey, std::vector<std::size_t>> point_jobs;

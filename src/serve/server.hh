@@ -5,14 +5,19 @@
  *
  * Threading model. Connections belong to the serve::ConnectionHost
  * both daemons share (serve/host.hh): its reader threads hand the
- * server each parsed request, which is answered inline (stats,
- * shutdown, hello, report_usage, cache_append, admission
- * rejections) or queued. The server's own thread is the batcher: it
+ * server each parsed request. Stats, shutdown, hello, report_usage,
+ * cache_append and admission rejections are answered on the reader
+ * thread at once. Evaluations and selections go through one
+ * executor at a time: a request that finds the server idle (nothing
+ * executing, queue empty) runs on its reader thread as a batch of
+ * one; one that arrives while a batch executes is queued. The
+ * server's own thread is the batcher, which serves that backlog: it
  * pops up to batch_max queued requests, coalesces evaluates naming
  * the same (app, space, config) point into one evaluation
  * (single-flight), fans the unique points across the service's
  * ThreadPool, and runs selections one by one (they fan out on the
- * pool themselves).
+ * pool themselves). Since a request runs inline only when nothing
+ * is queued, none overtakes one admitted before it.
  *
  * Admission control. The request queue is bounded at queue_depth;
  * when it is full, new work is answered immediately with an
@@ -21,9 +26,9 @@
  *
  * Drain semantics. requestDrain() (or a shutdown request, or SIGTERM
  * in ramp_served) stops the acceptor, flips the queue to rejecting,
- * lets the batcher finish everything already admitted, then
- * half-closes every connection so readers wake and exit. Admitted
- * work is never dropped.
+ * lets the batcher finish everything already admitted (and waits out
+ * an inline run in flight), then half-closes every connection so
+ * readers wake and exit. Admitted work is never dropped.
  *
  * Fault injection. With a fault plan installed, conn-drop severs the
  * connection instead of replying and conn-slow delays the reply --
@@ -104,7 +109,8 @@ class Server
   private:
     using Connection = ConnectionHost::Connection;
 
-    /** One admitted request waiting for the batcher. */
+    /** One admitted request: run inline, or waiting for the
+     *  batcher. */
     struct Job
     {
         std::shared_ptr<Connection> conn;
@@ -118,7 +124,9 @@ class Server
     void batchLoop();
     void runBatch(std::vector<Job> &batch);
 
-    /** Answer one request inline, or admit it to the queue. */
+    /** Answer one request on the reader thread (at once, or as an
+     *  inline batch of one on an idle server), or admit it to the
+     *  queue. */
     void handle(const std::shared_ptr<Connection> &conn, Request req,
                 const std::string &payload, std::uint64_t seq);
 
@@ -134,10 +142,16 @@ class Server
     std::condition_variable queue_cv_;
     // ramp-lint: guarded_by(queue_mu_)
     std::deque<Job> queue_;
+    /** A batch is executing (inline or on the batcher): the one
+     *  executor the evaluation state admits. */
+    // ramp-lint: guarded_by(queue_mu_)
+    bool executing_ = false;
 
     telemetry::Tally requests_{telemetry::counter("server.requests")};
     telemetry::Tally batches_{telemetry::counter("server.batches")};
     telemetry::Tally rejected_{telemetry::counter("server.rejected")};
+    /** Batches of one run on an idle server's reader thread. */
+    telemetry::Counter inline_ = telemetry::counter("server.inline");
     telemetry::Tally bad_requests_{
         telemetry::counter("server.bad_requests")};
     telemetry::Tally coalesced_{

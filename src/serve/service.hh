@@ -22,8 +22,11 @@
  * the chip's banked slack affords.
  *
  * Thread safety: ensureReady(), select(), and remainingLifetime()
- * fan work out across the owned pool and must only be called from
- * one driver thread at a time (the server's batcher).
+ * fan work out across the owned pool. ensureReady() runs once
+ * (std::call_once: later callers wait for the first); the others
+ * must only be called from one driver thread at a time (the
+ * server's one executor: its batcher, or a reader running a request
+ * inline).
  * evaluatePoint()/encodeEvaluation() never touch the pool and are
  * safe to call concurrently from *inside* a pool batch -- that is
  * exactly how the server parallelizes a batch of evaluate requests.

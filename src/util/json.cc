@@ -6,12 +6,120 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "util/logging.hh"
 
 namespace ramp {
 namespace util {
+
+namespace {
+
+/** Shortest decimal form that parses back to exactly @p v. Integral
+ *  values within the double-exact range print as plain integers so
+ *  counters stay readable. */
+void
+appendNumber(std::string &out, double v)
+{
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    char buf[40];
+    const auto res =
+        v == std::floor(v) && std::abs(v) < 9.007199254740992e15
+            ? std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(v))
+            : std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general);
+    out.append(buf, res.ptr);
+}
+
+/** @p s as a quoted JSON string: the escapes parseJson decodes. */
+void
+appendEscapedJson(std::string &out, std::string_view s)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    out += '"';
+    std::size_t run = 0; // Start of the pending unescaped run.
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          default:
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
+        }
+    }
+    out.append(s, run, s.size() - run);
+    out += '"';
+}
+
+/** Serialize @p value onto the end of @p out (see writeJson). */
+void
+appendJson(std::string &out, const JsonValue &value)
+{
+    switch (value.type) {
+      case JsonValue::Type::Null:
+        out += "null";
+        break;
+      case JsonValue::Type::Bool:
+        out += value.boolean ? "true" : "false";
+        break;
+      case JsonValue::Type::Number:
+        appendNumber(out, value.number);
+        break;
+      case JsonValue::Type::String:
+        appendEscapedJson(out, value.str);
+        break;
+      case JsonValue::Type::Array: {
+        out += '[';
+        bool first = true;
+        for (const JsonValue &v : value.array) {
+            if (!first)
+                out += ',';
+            first = false;
+            appendJson(out, v);
+        }
+        out += ']';
+        break;
+      }
+      case JsonValue::Type::Object: {
+        out += '{';
+        bool first = true;
+        for (const auto &[k, v] : value.object) {
+            if (!first)
+                out += ',';
+            first = false;
+            appendEscapedJson(out, k);
+            out += ':';
+            appendJson(out, v);
+        }
+        out += '}';
+        break;
+      }
+    }
+}
+
+} // namespace
 
 JsonWriter::JsonWriter(std::ostream &os) : os_(os) {}
 
@@ -29,35 +137,9 @@ JsonWriter::separator()
 void
 JsonWriter::writeEscaped(std::string_view s)
 {
-    os_ << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os_ << "\\\"";
-            break;
-          case '\\':
-            os_ << "\\\\";
-            break;
-          case '\n':
-            os_ << "\\n";
-            break;
-          case '\t':
-            os_ << "\\t";
-            break;
-          case '\r':
-            os_ << "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os_ << buf;
-            } else {
-                os_ << c;
-            }
-        }
-    }
-    os_ << '"';
+    std::string out;
+    appendEscapedJson(out, s);
+    os_ << out;
 }
 
 namespace {
@@ -301,119 +383,18 @@ JsonValue::push(JsonValue v)
     return *this;
 }
 
-namespace {
-
-/** Shortest decimal form that parses back to exactly @p v. Integral
- *  values within the double-exact range print as plain integers so
- *  counters stay readable. */
-void
-writeNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        os << buf;
-        return;
-    }
-    char buf[40];
-    const auto res =
-        std::to_chars(buf, buf + sizeof(buf), v,
-                      std::chars_format::general);
-    os.write(buf, res.ptr - buf);
-}
-
-void
-writeEscapedString(std::ostream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 writeJson(std::ostream &os, const JsonValue &value)
 {
-    switch (value.type) {
-      case JsonValue::Type::Null:
-        os << "null";
-        break;
-      case JsonValue::Type::Bool:
-        os << (value.boolean ? "true" : "false");
-        break;
-      case JsonValue::Type::Number:
-        writeNumber(os, value.number);
-        break;
-      case JsonValue::Type::String:
-        writeEscapedString(os, value.str);
-        break;
-      case JsonValue::Type::Array: {
-        os << '[';
-        bool first = true;
-        for (const JsonValue &v : value.array) {
-            if (!first)
-                os << ',';
-            first = false;
-            writeJson(os, v);
-        }
-        os << ']';
-        break;
-      }
-      case JsonValue::Type::Object: {
-        os << '{';
-        bool first = true;
-        for (const auto &[k, v] : value.object) {
-            if (!first)
-                os << ',';
-            first = false;
-            writeEscapedString(os, k);
-            os << ':';
-            writeJson(os, v);
-        }
-        os << '}';
-        break;
-      }
-    }
+    os << writeJson(value);
 }
 
 std::string
 writeJson(const JsonValue &value)
 {
-    std::ostringstream os;
-    writeJson(os, value);
-    return os.str();
+    std::string out;
+    appendJson(out, value);
+    return out;
 }
 
 Result<void>

@@ -383,6 +383,31 @@ TEST(Framing, DaemonsAnswerPipelinedFramesOnAcceptedSockets)
     expectPipelinedStats(daemons.router->port());
 }
 
+TEST(Framing, DaemonsStopWithoutWaitingOutTheAcceptPoll)
+{
+    // A drain wakes the acceptor parked on its listener instead of
+    // waiting for its poll period to run out, and that wake is not
+    // an accept error.
+    Daemons daemons;
+    daemons.service.ensureReady(); // The batcher's start-up, done.
+    const auto accept_errors = [] {
+        return telemetry::Registry::instance().snapshot().counter(
+            "net.accept_errors");
+    };
+    const std::uint64_t errors_before = accept_errors();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto stopMs = [](auto &daemon) {
+        const auto t0 = std::chrono::steady_clock::now();
+        daemon.stop();
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    EXPECT_LT(stopMs(*daemons.router), 50.0);
+    EXPECT_LT(stopMs(daemons.server), 50.0);
+    EXPECT_EQ(accept_errors(), errors_before);
+}
+
 /** Every reply @p port sends to a payload that is not a valid
  *  request followed by an oversized length prefix, up to hang-up. */
 std::vector<std::string>

@@ -24,6 +24,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "util/net.hh"
+#include "util/telemetry.hh"
 
 namespace ramp {
 namespace serve {
@@ -420,7 +421,7 @@ TEST_F(ServerTest, OversizedFrameIsRejectedThenDisconnected)
 TEST_F(ServerTest, QueueOverflowRepliesOverloadedNotSilence)
 {
     // One-deep queue, one-request batches, and every reply delayed
-    // 300 ms: while the batcher sleeps in its first reply, the queue
+    // 300 ms: while the executor sleeps in its first reply, the queue
     // holds one admitted request and any further arrival must be
     // rejected -- deterministically, not racily.
     fault::FaultPlan plan;
@@ -443,14 +444,15 @@ TEST_F(ServerTest, QueueOverflowRepliesOverloadedNotSilence)
     req.space = drm::AdaptationSpace::Dvs;
     req.config = 1;
 
-    // a's request is popped by the batcher, which then sleeps in
-    // the slow reply; b's request fills the queue.
+    // a's request finds the server idle and runs inline on its
+    // reader thread, which then sleeps in the slow reply; b's
+    // request fills the queue.
     ASSERT_TRUE(a.sendRequest(req).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     ASSERT_TRUE(b.sendRequest(req).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-    // c must be rejected: the queue is full and the batcher is
+    // c must be rejected: the queue is full and the executor is
     // still asleep for another ~100 ms.
     auto rejected = c.call(req);
     ASSERT_TRUE(rejected.ok()) << rejected.error().str();
@@ -597,6 +599,176 @@ TEST_F(ServerTest, StatsCountsTraffic)
     const util::JsonValue *cache = stats.value().find("cache");
     ASSERT_NE(cache, nullptr);
     EXPECT_NE(cache->find("hits"), nullptr);
+}
+
+/** Batches run inline on an idle server's reader threads so far. */
+std::uint64_t
+inlineRuns()
+{
+    return telemetry::Registry::instance().snapshot().counter(
+        "server.inline");
+}
+
+/** A server counter from statsJson(). */
+double
+statsCount(const Server &server, const char *key)
+{
+    return server.statsJson().find(key)->number;
+}
+
+/** Every reply delayed @p delay_ms: a slow reply holds the executor. */
+void
+slowEveryReply(double delay_ms)
+{
+    fault::FaultPlan plan;
+    plan.spec(fault::FaultKind::ConnSlow).rate = 1.0;
+    plan.spec(fault::FaultKind::ConnSlow).delay_ms = delay_ms;
+    fault::installFaultPlan(plan);
+}
+
+TEST_F(ServerTest, LoneEvaluateOnAnIdleServerRunsInline)
+{
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    Client client = connectTo(server);
+
+    const std::uint64_t before = inlineRuns();
+    auto served =
+        Client::unwrap(client.call(evaluateRequest(app_, 5)));
+    ASSERT_TRUE(served.ok()) << served.error().str();
+    EXPECT_EQ(inlineRuns(), before + 1);
+    EXPECT_EQ(statsCount(server, "batches"), 1.0);
+    EXPECT_EQ(util::writeJson(served.value()), directEvaluate(5));
+}
+
+TEST_F(ServerTest, BacklogBehindABusyExecutorStillCoalesces)
+{
+    // a's evaluate runs inline and sleeps 200 ms in its reply; b's
+    // three identical evaluates arrive meanwhile, queue, and reach
+    // the batcher together as one batch and one evaluation.
+    slowEveryReply(200.0);
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    Client a = connectTo(server);
+    Client b = connectTo(server);
+
+    const std::uint64_t before = inlineRuns();
+    ASSERT_TRUE(a.sendRequest(evaluateRequest(app_, 1)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(b.sendRequest(evaluateRequest(app_, 6)).ok());
+
+    auto ra = a.receiveReply();
+    ASSERT_TRUE(ra.ok()) << ra.error().str();
+    EXPECT_TRUE(ra.value().ok) << ra.value().error_message;
+    const std::string want = directEvaluate(6);
+    for (int i = 0; i < 3; ++i) {
+        auto rb = b.receiveReply();
+        ASSERT_TRUE(rb.ok()) << rb.error().str();
+        ASSERT_TRUE(rb.value().ok) << rb.value().error_message;
+        EXPECT_EQ(util::writeJson(rb.value().result), want);
+    }
+    EXPECT_EQ(inlineRuns(), before + 1);
+    EXPECT_EQ(statsCount(server, "batches"), 2.0);
+    EXPECT_EQ(statsCount(server, "coalesced"), 2.0);
+}
+
+TEST_F(ServerTest, ShutdownDuringASlowInlineReplyStillDeliversIt)
+{
+    slowEveryReply(300.0);
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    Client worker = connectTo(server);
+    Client admin = connectTo(server);
+    Client late = connectTo(server);
+
+    // The evaluate runs inline; the drain begins while its reply
+    // sleeps, and work arriving after that is turned away.
+    ASSERT_TRUE(worker.sendRequest(evaluateRequest(app_, 2)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_TRUE(admin.sendRequest(bareRequest(RequestType::Shutdown))
+                    .ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_TRUE(server.draining());
+    auto rejected = late.call(evaluateRequest(app_, 2));
+    ASSERT_TRUE(rejected.ok()) << rejected.error().str();
+    ASSERT_FALSE(rejected.value().ok);
+    EXPECT_EQ(rejected.value().error_code, err_shutting_down);
+
+    auto reply = worker.receiveReply();
+    ASSERT_TRUE(reply.ok()) << reply.error().str();
+    EXPECT_TRUE(reply.value().ok) << reply.value().error_message;
+    auto drained = admin.receiveReply();
+    ASSERT_TRUE(drained.ok()) << drained.error().str();
+    EXPECT_TRUE(drained.value().ok);
+    server.wait();
+}
+
+TEST_F(ServerTest, StopWaitsOutASlowInlineReply)
+{
+    // stop() closes every connection once the batcher exits; the
+    // batcher must not exit under an inline run still replying.
+    slowEveryReply(300.0);
+    Server server(*service_, ServerOptions{});
+    ASSERT_TRUE(server.start().ok());
+    Client client = connectTo(server);
+
+    ASSERT_TRUE(client.sendRequest(evaluateRequest(app_, 3)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::thread stopper([&] { server.stop(); });
+    auto reply = client.receiveReply();
+    stopper.join();
+    ASSERT_TRUE(reply.ok()) << reply.error().str();
+    EXPECT_TRUE(reply.value().ok) << reply.value().error_message;
+}
+
+TEST_F(ServerTest, PipelinedRequestsAreAnsweredInOrder)
+{
+    // Two connections pipeline at once, so requests meet both an
+    // idle server (inline) and a busy one (queued, in small
+    // batches); each connection's replies still come back in the
+    // order it sent them.
+    ServerOptions opts;
+    opts.batch_max = 3;
+    Server server(*service_, opts);
+    ASSERT_TRUE(server.start().ok());
+    std::vector<std::string> want;
+    for (std::size_t config = 0; config < 8; ++config)
+        want.push_back(directEvaluate(config));
+
+    const auto pipeline = [&](Client &client) {
+        std::vector<std::uint64_t> ids;
+        for (std::size_t round = 0; round < 3; ++round)
+            for (std::size_t config = 0; config < want.size();
+                 ++config) {
+                auto id =
+                    client.sendRequest(evaluateRequest(app_, config));
+                EXPECT_TRUE(id.ok()) << id.error().str();
+                ids.push_back(id.ok() ? id.value() : 0);
+            }
+        return ids;
+    };
+    Client a = connectTo(server);
+    Client b = connectTo(server);
+    std::vector<std::uint64_t> b_ids;
+    std::thread sender([&] { b_ids = pipeline(b); });
+    const std::vector<std::uint64_t> a_ids = pipeline(a);
+    sender.join();
+
+    const auto expectInOrder = [&](Client &client,
+                                   const std::vector<std::uint64_t> &ids) {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            auto reply = client.receiveReply();
+            ASSERT_TRUE(reply.ok()) << reply.error().str();
+            ASSERT_TRUE(reply.value().ok)
+                << reply.value().error_message;
+            EXPECT_EQ(reply.value().id, ids[i]);
+            EXPECT_EQ(util::writeJson(reply.value().result),
+                      want[i % want.size()]);
+        }
+    };
+    expectInOrder(a, a_ids);
+    expectInOrder(b, b_ids);
 }
 
 TEST_F(ServerTest, IdleTimeoutDisconnectsSilentPeers)
