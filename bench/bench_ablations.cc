@@ -115,10 +115,9 @@ ablationVfSlope(bench::Suite &suite)
     const auto qual = suite.qualification(335.0);
     for (double slope : {0.05, 0.10, 0.20}) {
         // Build a DVS ladder with this slope, anchored at 4GHz/1.0V.
-        drm::ExploredApp explored;
-        explored.app_name = app.name;
-        explored.base = suite.explorer.evaluateBase(app);
-        const double base_perf = explored.base.uopsPerSecond();
+        core::OperatingPoint base = suite.explorer.evaluateBase(app);
+        const double base_perf = base.uopsPerSecond();
+        std::vector<drm::ExploredPoint> points;
         double fit_at_3ghz = 0.0;
         for (double f = 2.5; f <= 5.0 + 1e-9; f += 0.25) {
             sim::MachineConfig cfg = sim::baseMachine();
@@ -128,8 +127,10 @@ ablationVfSlope(bench::Suite &suite)
             if (std::abs(f - 3.0) < 1e-9)
                 fit_at_3ghz = drm::operatingPointFit(qual, op);
             const double perf_rel = op.uopsPerSecond() / base_perf;
-            explored.points.emplace_back(std::move(op), perf_rel);
+            points.emplace_back(std::move(op), perf_rel);
         }
+        const drm::ExploredApp explored(app.name, std::move(base),
+                                        std::move(points));
         const auto sel = drm::selectDrm(explored, qual);
         const auto &op = explored.points[sel.index].op;
         t.addRow({util::Table::num(slope, 2),

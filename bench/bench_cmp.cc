@@ -258,7 +258,7 @@ main(int argc, char **argv)
             mix_apps.push_back(&suite.apps[slot % suite.apps.size()]);
         }
         const std::vector<drm::ExploredApp> explored =
-            cmp::exploreApps(suite.explorer, &suite.pool, mix_apps,
+            cmp::exploreApps(suite.explorer, mix_apps,
                              drm::AdaptationSpace::Dvs);
 
         util::Table t({"cores", "per-core tput", "global tput",

@@ -3,7 +3,7 @@
  * Google-benchmark micro-kernels for the performance-critical pieces:
  * the failure-mechanism models, qualification FIT evaluation, DRM/DTM
  * selection, the thermal solvers and the leakage/thermal fixed point,
- * the cache model, the branch predictor, trace
+ * a warm exploration, the cache model, the branch predictor, trace
  * generation, and whole-core cycle throughput. These bound the cost
  * of the reproduction sweeps.
  */
@@ -15,12 +15,14 @@
 #include "core/evaluator.hh"
 #include "core/mechanisms.hh"
 #include "core/qualification.hh"
+#include "drm/eval_cache.hh"
 #include "drm/oracle.hh"
 #include "sim/bpred.hh"
 #include "sim/cache.hh"
 #include "sim/core.hh"
 #include "thermal/model.hh"
 #include "util/random.hh"
+#include "util/thread_pool.hh"
 #include "workload/trace_gen.hh"
 
 namespace {
@@ -107,7 +109,7 @@ BENCHMARK(BM_FitBasisPrice);
 drm::ExploredApp
 syntheticArchDvs()
 {
-    drm::ExploredApp app;
+    std::vector<drm::ExploredPoint> points;
     for (const auto &cfg : drm::configSpace(drm::AdaptationSpace::ArchDvs)) {
         core::OperatingPoint op;
         op.config = cfg;
@@ -116,9 +118,9 @@ syntheticArchDvs()
         op.activity.activity.fill(0.4);
         op.activity.cycles = 1000;
         op.activity.retired = 1000;
-        app.points.emplace_back(std::move(op), cfg.frequency_ghz / 4.0);
+        points.emplace_back(std::move(op), cfg.frequency_ghz / 4.0);
     }
-    return app;
+    return drm::ExploredApp("synthetic", {}, std::move(points));
 }
 
 core::Qualification
@@ -156,26 +158,66 @@ BM_SelectDtmArchDvs(benchmark::State &state)
 }
 BENCHMARK(BM_SelectDtmArchDvs);
 
-void
-BM_ConvergeThermal(benchmark::State &state)
+/** The fixed twolf activity sample of BM_ConvergeThermal. */
+drm::CachedEvaluation
+twolfSample()
 {
-    // One single-core leakage/thermal fixed point (11 iterations) on
-    // a fixed twolf activity sample.
-    sim::ActivitySample sample;
-    sample.cycles = 94361;
-    sample.retired = 40001;
-    sample.activity =
+    drm::CachedEvaluation m;
+    m.activity.cycles = 94361;
+    m.activity.retired = 40001;
+    m.activity.activity =
         {0x1.796318e2dee4cp-5, 0x0p+0, 0x1.0bbc47bfd9be5p-5, 0x0p+0,
          0x1.0886e3be87bddp-5, 0x1.217c833069c8ep-5, 0x1.2e60e43cef039p-4,
          0x1.2e60e43cef039p-4, 0x1.c6b24268905a4p-4, 0x1.b23ac4c89ead5p-5};
+    return m;
+}
+
+void
+BM_ConvergeThermal(benchmark::State &state)
+{
+    // A batch of single-core leakage/thermal fixed points (11
+    // iterations each) on the fixed twolf sample, at the batch sizes
+    // of a lone point (1) and of an exploration item (8). Items are
+    // points, so the two rates compare per point.
+    const auto lanes = static_cast<std::size_t>(state.range(0));
+    const drm::CachedEvaluation sample = twolfSample();
+    const std::vector<sim::MachineConfig> cfgs(lanes, sim::baseMachine());
+    const std::vector<const drm::CachedEvaluation *> measured(lanes,
+                                                              &sample);
     const core::Evaluator evaluator;
     for (auto _ : state) {
-        const auto op =
-            evaluator.convergeThermal(sim::baseMachine(), sample, {});
-        benchmark::DoNotOptimize(op.sink_temp_k);
+        const auto ops = evaluator.tryConvergeThermal(cfgs, measured);
+        benchmark::DoNotOptimize(ops.back().value().sink_temp_k);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(lanes));
+}
+BENCHMARK(BM_ConvergeThermal)->Arg(1)->Arg(8);
+
+void
+BM_ExploreWarmArchDvs(benchmark::State &state)
+{
+    // One warm ArchDVS exploration (198 points from 18 cached records)
+    // on a 4-thread pool: what a warm restart pays per (app, space).
+    // The records are synthetic (the twolf sample everywhere); only
+    // the exploration's own work is timed.
+    const auto &app = workload::findApp("twolf");
+    const core::EvalParams params;
+    drm::EvaluationCache cache;
+    cache.put(drm::EvaluationCache::key(sim::baseMachine(), app, params),
+              twolfSample());
+    for (const auto &cfg : drm::configSpace(drm::AdaptationSpace::ArchDvs))
+        cache.put(drm::EvaluationCache::key(cfg, app, params),
+                  twolfSample());
+    util::ThreadPool pool(4);
+    const drm::OracleExplorer explorer(params, &cache, &pool);
+    for (auto _ : state) {
+        const auto explored =
+            explorer.explore(app, drm::AdaptationSpace::ArchDvs);
+        benchmark::DoNotOptimize(explored.fastestFirst().front());
     }
 }
-BENCHMARK(BM_ConvergeThermal);
+BENCHMARK(BM_ExploreWarmArchDvs)->UseRealTime();
 
 void
 BM_ThermalSteadyState(benchmark::State &state)

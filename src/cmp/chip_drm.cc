@@ -154,24 +154,14 @@ selectChipDrm(const std::vector<const drm::ExploredApp *> &cores,
 
 std::vector<drm::ExploredApp>
 exploreApps(const drm::OracleExplorer &explorer,
-            util::ThreadPool *pool,
             const std::vector<const workload::AppProfile *> &apps,
             drm::AdaptationSpace space)
 {
-    std::vector<drm::ExploredApp> out(apps.size());
-    const auto explore_one = [&](std::size_t i) {
-        out[i] = explorer.explore(*apps[i], space);
-    };
-    if (pool == nullptr) {
-        for (std::size_t i = 0; i < apps.size(); ++i)
-            explore_one(i);
-        return out;
-    }
-    const util::BatchReport report =
-        pool->parallelFor(apps.size(), explore_one);
-    if (!report.ok())
-        util::panic("exploreApps items never throw RampException");
-    return out;
+    std::vector<drm::ExploreTask> tasks;
+    tasks.reserve(apps.size());
+    for (const workload::AppProfile *app : apps)
+        tasks.push_back({app, space});
+    return explorer.explore(tasks);
 }
 
 } // namespace cmp

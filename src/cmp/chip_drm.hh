@@ -81,16 +81,13 @@ selectChipDrm(const std::vector<const drm::ExploredApp *> &cores,
               BudgetPolicy policy);
 
 /**
- * Explore one adaptation space for several apps, one app per pool
- * item. Each inner explore() submits to the same pool from a worker
- * and runs inline there (the ThreadPool nested-submission guard), so
- * an N-core exploration gets N-way concurrency without deadlock.
- * Results land by input index and each explore() is independently
- * deterministic, so the output is bit-identical at any thread count.
+ * Explore one adaptation space for several apps in one pass
+ * (drm::OracleExplorer::explore over one task per app, on the
+ * explorer's own pool). Results land by input index, bit-identical
+ * at any thread count.
  */
 std::vector<drm::ExploredApp>
 exploreApps(const drm::OracleExplorer &explorer,
-            util::ThreadPool *pool,
             const std::vector<const workload::AppProfile *> &apps,
             drm::AdaptationSpace space);
 

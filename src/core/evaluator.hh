@@ -71,6 +71,20 @@ struct OperatingPoint
     double totalPower() const { return power.total(); }
 };
 
+/**
+ * The measured (timing) half of one evaluation: the interval the
+ * power/thermal fixed point starts from, plus cache behaviour. This
+ * is all a simulation produces, and what drm::EvaluationCache keeps.
+ */
+struct Measurement
+{
+    sim::ActivitySample activity;
+    sim::CoreStats stats;
+    double l1d_miss_ratio = 0.0;
+    double l1i_miss_ratio = 0.0;
+    double l2_miss_ratio = 0.0;
+};
+
 /** Evaluation controls. */
 struct EvalParams
 {
@@ -113,18 +127,40 @@ struct ThermalFixedPoint
     bool converged = false;  ///< residual_k < EvalParams::tolerance_k.
 };
 
+/** One problem of a batched fixed point: one power model and one
+ *  dynamic power map per tile of the network. */
+struct LeakageLane
+{
+    std::span<const power::PowerModel> pmodels;
+    thermal::TileMaps dynamic_w;
+};
+
 /**
  * The power/thermal fixed point (paper Section 6.3) over any tile
- * count: leakage from each tile's temperatures, one steady solve of
- * the whole network, damped updates until every block moves less
- * than the tolerance. One power model and one dynamic power map per
- * tile of @p network. A singular solve or non-finite temperatures
+ * count, for a batch of independent problems (lanes) against one
+ * network: leakage from each tile's temperatures, one steady solve
+ * of the whole network, damped updates until every block moves less
+ * than the tolerance. A singular solve or non-finite temperatures
  * are errors; hitting the iteration limit is not (converged ==
  * false). Leakage is evaluated at no more than 450 K; fixed points
  * that end with the clamp engaged are counted (evaluator.leak_clamped),
  * and so are those that stop within the last 10% of
  * EvalParams::max_iterations (evaluator.near_limit).
+ *
+ * The lanes iterate in step, and each iteration solves every lane
+ * still running in one pass over the eliminated network. Everything
+ * else -- leakage, damping, the residual test, the clamp and
+ * near-limit counters, the iteration limit, errors -- is per lane,
+ * and each lane stops at its own iteration. A lane never meets
+ * another lane's numbers, so its result (and every counter) is bit
+ * for bit what it gets converged alone. Results land by lane.
  */
+[[nodiscard]] std::vector<util::Result<ThermalFixedPoint>>
+tryConvergeLeakage(const thermal::ThermalModel &network,
+                   std::span<const LeakageLane> lanes,
+                   const EvalParams &params);
+
+/** One problem: a batch of one lane. */
 [[nodiscard]] util::Result<ThermalFixedPoint>
 tryConvergeLeakage(const thermal::ThermalModel &network,
                    std::span<const power::PowerModel> pmodels,
@@ -158,14 +194,34 @@ class Evaluator
                             const workload::AppProfile &profile) const;
 
     /**
+     * The timing half of tryEvaluate: run the workload on the machine
+     * and return the measured interval. Deterministic in (profile,
+     * cfg, params); cannot fail.
+     */
+    Measurement simulate(const sim::MachineConfig &cfg,
+                         const workload::AppProfile &profile) const;
+
+    /**
      * Power/thermal fixed point for an already-measured activity
      * sample (used by the DRM oracle to re-derive temperatures and by
-     * ablations). Error/convergence semantics as tryEvaluate.
+     * ablations). Error/convergence semantics as tryEvaluate; the
+     * point's miss ratios are zero.
      */
     [[nodiscard]] util::Result<OperatingPoint>
     tryConvergeThermal(const sim::MachineConfig &cfg,
                        const sim::ActivitySample &activity,
                        const sim::CoreStats &stats) const;
+
+    /**
+     * The fixed points of a batch of measured points, converged in
+     * step (see the batched tryConvergeLeakage): point i is @p cfgs[i]
+     * measured as *@p measured[i], and carries that measurement's
+     * miss ratios. Results land by index, each bit for bit (counters
+     * and fault hook included) what the point gets converged alone.
+     */
+    [[nodiscard]] std::vector<util::Result<OperatingPoint>>
+    tryConvergeThermal(std::span<const sim::MachineConfig> cfgs,
+                       std::span<const Measurement *const> measured) const;
 
     /** tryConvergeThermal that treats any error as unrecoverable. */
     OperatingPoint

@@ -82,6 +82,21 @@ Qualification::priced(std::size_t si, Mechanism m, double log_rate,
     return f;
 }
 
+double
+Qualification::pricedEntry(std::size_t si, std::size_t mi,
+                           const FitBasis &basis,
+                           const sim::PerStructure<double> &temps_k) const
+{
+    if (mi < FitBasis::num_rated)
+        return priced(si, allMechanisms()[mi], basis.log_rate[si][mi],
+                      basis.on_fraction[si]);
+    OperatingConditions tc;
+    tc.temp_k = temps_k[si];
+    tc.ambient_k = spec_.ambient_k;
+    return priced(si, Mechanism::TC, logRelativeRate(Mechanism::TC, tc),
+                  basis.on_fraction[si]);
+}
+
 FitReport
 Qualification::price(const FitBasis &basis,
                      const sim::PerStructure<double> &temps_k) const
@@ -89,21 +104,34 @@ Qualification::price(const FitBasis &basis,
     FitReport r;
     for (auto s : allStructures()) {
         const std::size_t si = structureIndex(s);
-        for (std::size_t mi = 0; mi < FitBasis::num_rated; ++mi)
-            r.fit[si][mi] = priced(si, allMechanisms()[mi],
-                                   basis.log_rate[si][mi],
-                                   basis.on_fraction[si]);
-        OperatingConditions tc;
-        tc.temp_k = temps_k[si];
-        tc.ambient_k = spec_.ambient_k;
-        r.fit[si][mechanismIndex(Mechanism::TC)] =
-            priced(si, Mechanism::TC,
-                   logRelativeRate(Mechanism::TC, tc),
-                   basis.on_fraction[si]);
+        for (std::size_t mi = 0; mi < num_mechanisms; ++mi)
+            r.fit[si][mi] = pricedEntry(si, mi, basis, temps_k);
         r.avg_temp_k[si] = temps_k[si];
     }
     r.total_time_s = 1.0;
     return r;
+}
+
+double
+Qualification::fitWithin(const FitBasis &basis,
+                         const sim::PerStructure<double> &temps_k,
+                         double limit) const
+{
+    // FitReport::totalFit(): a sum over mechanisms of per-mechanism
+    // sums over structures. total + partial never exceeds the final
+    // total, so once it passes the limit the total does too.
+    double total = 0.0;
+    for (auto m : allMechanisms()) {
+        const std::size_t mi = mechanismIndex(m);
+        double partial = 0.0;
+        for (auto s : allStructures()) {
+            partial += pricedEntry(structureIndex(s), mi, basis, temps_k);
+            if (total + partial > limit)
+                return total + partial;
+        }
+        total += partial;
+    }
+    return total;
 }
 
 } // namespace core

@@ -94,6 +94,20 @@ class Qualification
     FitReport price(const FitBasis &basis,
                     const sim::PerStructure<double> &temps_k) const;
 
+    /**
+     * price(basis, temps_k).totalFit() when that is at most @p limit;
+     * otherwise some value above @p limit, or NaN. It sums the terms
+     * in totalFit()'s order and stops as soon as the sum exceeds
+     * @p limit: no term is negative (allocations are not, nor are a
+     * FitBasis's powered-on fractions), and adding a non-negative term
+     * never makes a floating-point sum smaller. So `fitWithin(...) <=
+     * limit` is exactly `price(...).totalFit() <= limit`, and when it
+     * holds the two values are bit-identical.
+     */
+    double fitWithin(const FitBasis &basis,
+                     const sim::PerStructure<double> &temps_k,
+                     double limit) const;
+
     const QualificationSpec &spec() const { return spec_; }
 
     /** Conditions the part was qualified at (for structure s). */
@@ -104,6 +118,11 @@ class Qualification
      *  scaled by @p on_fraction for EM and TDDB. */
     double priced(std::size_t si, Mechanism m, double log_rate,
                   double on_fraction) const;
+
+    /** Entry (@p si, @p mi) of price(basis, temps_k). */
+    double pricedEntry(std::size_t si, std::size_t mi,
+                       const FitBasis &basis,
+                       const sim::PerStructure<double> &temps_k) const;
 
     QualificationSpec spec_;
     /** log r(qual) per structure x mechanism. */

@@ -2,10 +2,13 @@
 
 // ramp-lint: guarded_by(mutex_): entries_
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -84,28 +87,229 @@ writeFailCounter()
 }
 
 /**
+ * Reads a record line field by field exactly as `std::istringstream
+ * >>` does in the classic locale -- skip whitespace, take the longest
+ * prefix the field's grammar accepts, fail where the stream fails --
+ * with std::from_chars doing the conversions. Once a read fails, the
+ * reader stays failed.
+ */
+class FieldReader
+{
+  public:
+    explicit FieldReader(std::string_view line)
+        : p_(line.data()), end_(line.data() + line.size())
+    {
+    }
+
+    explicit operator bool() const { return ok_; }
+
+    /** A whitespace-delimited word. */
+    FieldReader &
+    operator>>(std::string &word)
+    {
+        if (!start())
+            return *this;
+        const char *b = p_;
+        while (p_ != end_ && !isSpace(*p_))
+            ++p_;
+        word.assign(b, p_);
+        return *this;
+    }
+
+    /** [+-]digits into int; out of int's range fails. */
+    FieldReader &
+    operator>>(int &v)
+    {
+        bool negative = false;
+        std::uint64_t magnitude = 0;
+        if (!readInteger(negative, magnitude))
+            return *this;
+        constexpr auto max = static_cast<std::uint64_t>(
+            std::numeric_limits<int>::max());
+        if (magnitude > max + (negative ? 1 : 0))
+            return fail();
+        v = negative ? static_cast<int>(-static_cast<std::int64_t>(magnitude))
+                     : static_cast<int>(magnitude);
+        return *this;
+    }
+
+    /** [+-]digits; like the stream, a '-' negates modulo 2^64. */
+    FieldReader &
+    operator>>(std::uint64_t &v)
+    {
+        bool negative = false;
+        std::uint64_t magnitude = 0;
+        if (readInteger(negative, magnitude))
+            v = negative ? 0 - magnitude : magnitude;
+        return *this;
+    }
+
+    /**
+     * [+-]digits[.digits][e[+-]digits], the exponent only after a
+     * digit. A value too large for a double fails; one too small
+     * reads as a signed zero.
+     */
+    FieldReader &
+    operator>>(double &v)
+    {
+        if (!start())
+            return *this;
+        const char *b = p_;
+        const bool negative = *p_ == '-';
+        if (*p_ == '+' || *p_ == '-')
+            ++p_;
+        const char *digits = p_;
+        bool mantissa = false;
+        bool point = false;
+        bool exponent = false;
+        while (p_ != end_) {
+            const char c = *p_;
+            if (isDigit(c)) {
+                mantissa = true;
+            } else if (c == '.' && !point && !exponent) {
+                point = true;
+            } else if ((c == 'e' || c == 'E') && mantissa && !exponent) {
+                exponent = true;
+                if (p_ + 1 != end_ && (p_[1] == '+' || p_[1] == '-'))
+                    ++p_;
+            } else {
+                break;
+            }
+            ++p_;
+        }
+        // from_chars takes no '+' sign; the stream drops it too.
+        const char *from = *b == '+' ? b + 1 : b;
+        const auto [ptr, ec] =
+            std::from_chars(from, p_, v, std::chars_format::general);
+        if (ptr != p_ || (ec != std::errc{} &&
+                          ec != std::errc::result_out_of_range))
+            return fail();
+        if (ec == std::errc::result_out_of_range) {
+            if (decimalOrder(digits, p_) > 0)
+                return fail(); // overflow
+            v = negative ? -0.0 : 0.0;
+        }
+        return *this;
+    }
+
+  private:
+    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+    static bool
+    isSpace(char c)
+    {
+        return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+               c == '\f' || c == '\r';
+    }
+
+    FieldReader &
+    fail()
+    {
+        ok_ = false;
+        return *this;
+    }
+
+    /** Skip whitespace; false (and failed) at the end of the line. */
+    bool
+    start()
+    {
+        while (ok_ && p_ != end_ && isSpace(*p_))
+            ++p_;
+        if (ok_ && p_ == end_)
+            fail();
+        return ok_;
+    }
+
+    bool
+    readInteger(bool &negative, std::uint64_t &magnitude)
+    {
+        if (!start())
+            return false;
+        negative = *p_ == '-';
+        if (*p_ == '+' || *p_ == '-')
+            ++p_;
+        const char *b = p_;
+        while (p_ != end_ && isDigit(*p_))
+            ++p_;
+        const auto [ptr, ec] = std::from_chars(b, p_, magnitude);
+        if (b == p_ || ec != std::errc{} || ptr != p_) {
+            fail();
+            return false;
+        }
+        return true;
+    }
+
+    /**
+     * The decimal exponent of the leading nonzero digit of the
+     * unsigned number in [b, e) (which has one): positive for a
+     * magnitude of at least 10, negative below 1.
+     */
+    static long
+    decimalOrder(const char *b, const char *e)
+    {
+        long order = 0;
+        bool seen = false;
+        bool point = false;
+        for (; b != e && *b != 'e' && *b != 'E'; ++b) {
+            if (*b == '.') {
+                point = true;
+            } else if (!seen && *b != '0') {
+                seen = true;
+                order = point ? order - 1 : 0;
+            } else if (seen ? !point : point) {
+                order += seen ? 1 : -1;
+            }
+        }
+        long exp = 0;
+        if (b != e) {
+            ++b;
+            const bool negative = b != e && *b == '-';
+            if (b != e && (*b == '+' || *b == '-'))
+                ++b;
+            for (; b != e; ++b)
+                exp = std::min(exp * 10 + (*b - '0'), 1'000'000'000L);
+            exp = negative ? -exp : exp;
+        }
+        return order + exp;
+    }
+
+    const char *p_;
+    const char *end_;
+    bool ok_ = true;
+};
+
+/**
  * Parse one serialized record line into (key, value). False on
  * stale versions, short or non-numeric lines -- the same policy the
  * load path applies, shared with peer-record ingestion.
  */
 bool
-parseRecordLine(const std::string &line, std::string &key,
+parseRecordLine(std::string_view line, std::string &key,
                 CachedEvaluation &v)
 {
-    std::istringstream is(line);
+    FieldReader in(line);
     int version = 0;
-    is >> version >> key;
-    if (version != record_version || key.empty())
+    in >> version >> key;
+    if (!in || version != record_version || key.empty())
         return false;
-    is >> v.activity.cycles >> v.activity.retired;
+    in >> v.activity.cycles >> v.activity.retired;
     for (auto &a : v.activity.activity)
-        is >> a;
-    is >> v.stats.cycles >> v.stats.fetched >> v.stats.retired >>
+        in >> a;
+    in >> v.stats.cycles >> v.stats.fetched >> v.stats.retired >>
         v.stats.dispatched >> v.stats.issued >> v.stats.branches >>
         v.stats.mispredicts >> v.stats.ras_returns >> v.stats.loads >>
         v.stats.stores;
-    is >> v.l1d_miss_ratio >> v.l1i_miss_ratio >> v.l2_miss_ratio;
-    return static_cast<bool>(is);
+    in >> v.l1d_miss_ratio >> v.l1i_miss_ratio >> v.l2_miss_ratio;
+    return static_cast<bool>(in);
+}
+
+/** Append the decimal digits of @p v. */
+void
+appendUint(std::string &out, std::uint64_t v)
+{
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    out.append(buf, end);
 }
 
 } // namespace
@@ -297,21 +501,45 @@ EvaluationCache::key(const sim::MachineConfig &cfg,
     // With clock-scaled off-chip latencies, frequency is timing-
     // irrelevant too (all latencies are fixed cycle counts), so all
     // DVS rungs share one record.
-    std::ostringstream os;
-    // Full round-trip precision: at the default (6) or any truncated
-    // precision, DVS rungs closer than the printed digits would
-    // collide into one record and silently share timing results.
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << app.name << "|w" << cfg.window_size << "a" << cfg.num_int_alu
-       << "f" << cfg.num_fpu << "g" << cfg.num_agen << "q"
-       << cfg.mem_queue << "d" << cfg.fetch_duty_x8 << "|";
-    if (cfg.offchip_scales_with_clock)
-        os << "cycN";
-    else
-        os << cfg.frequency_ghz << "GHz";
-    os << '|' << params.seed << '|' << params.warmup_uops << '|'
-       << params.measure_uops;
-    return os.str();
+    std::string out;
+    out.reserve(app.name.size() + 80);
+    out += app.name;
+    out += "|w";
+    appendUint(out, cfg.window_size);
+    out += 'a';
+    appendUint(out, cfg.num_int_alu);
+    out += 'f';
+    appendUint(out, cfg.num_fpu);
+    out += 'g';
+    appendUint(out, cfg.num_agen);
+    out += 'q';
+    appendUint(out, cfg.mem_queue);
+    out += 'd';
+    appendUint(out, cfg.fetch_duty_x8);
+    out += '|';
+    if (cfg.offchip_scales_with_clock) {
+        out += "cycN";
+    } else {
+        // Full round-trip precision (%.17g, the stream format the key
+        // always had): at any truncated precision, DVS rungs closer
+        // than the printed digits would collide into one record and
+        // silently share timing results.
+        char buf[32];
+        const auto end =
+            std::to_chars(buf, buf + sizeof buf, cfg.frequency_ghz,
+                          std::chars_format::general,
+                          std::numeric_limits<double>::max_digits10)
+                .ptr;
+        out.append(buf, end);
+        out += "GHz";
+    }
+    out += '|';
+    appendUint(out, params.seed);
+    out += '|';
+    appendUint(out, params.warmup_uops);
+    out += '|';
+    appendUint(out, params.measure_uops);
+    return out;
 }
 
 std::optional<CachedEvaluation>

@@ -53,15 +53,9 @@
 namespace ramp {
 namespace drm {
 
-/** The cached (expensive) part of an operating-point evaluation. */
-struct CachedEvaluation
-{
-    sim::ActivitySample activity;
-    sim::CoreStats stats;
-    double l1d_miss_ratio = 0.0;
-    double l1i_miss_ratio = 0.0;
-    double l2_miss_ratio = 0.0;
-};
+/** The cached (expensive) part of an operating-point evaluation: its
+ *  simulation's measurement. */
+using CachedEvaluation = core::Measurement;
 
 /** File-backed map from evaluation keys to measured samples. */
 class EvaluationCache

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <unordered_set>
+#include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "power/power.hh"
 #include "util/logging.hh"
@@ -50,6 +51,23 @@ ExploredPoint::ExploredPoint(core::OperatingPoint point, double perf)
     : op(std::move(point)), perf_rel(perf), valid(true),
       basis_(fitBasis(op))
 {
+}
+
+ExploredApp::ExploredApp(std::string name, core::OperatingPoint base_op,
+                         std::vector<ExploredPoint> explored)
+    : app_name(std::move(name)), base(std::move(base_op)),
+      points(std::move(explored))
+{
+    fastest_first_.reserve(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i)
+        if (points[i].valid && points[i].perf_rel >= 0.0)
+            fastest_first_.push_back(i);
+    std::sort(fastest_first_.begin(), fastest_first_.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const double pa = points[a].perf_rel;
+                  const double pb = points[b].perf_rel;
+                  return pa > pb || (pa == pb && a < b);
+              });
 }
 
 double
@@ -112,30 +130,15 @@ OracleExplorer::tryEvaluate(const sim::MachineConfig &cfg,
 
     const std::string key =
         EvaluationCache::key(cfg, app, evaluator_.params());
-    if (auto hit = cache_->get(key)) {
-        auto result =
-            evaluator_.tryConvergeThermal(cfg, hit->activity,
-                                          hit->stats);
-        if (!result)
-            return result;
-        core::OperatingPoint &op = result.value();
-        op.l1d_miss_ratio = hit->l1d_miss_ratio;
-        op.l1i_miss_ratio = hit->l1i_miss_ratio;
-        op.l2_miss_ratio = hit->l2_miss_ratio;
-        return result;
-    }
-
-    auto result = evaluator_.tryEvaluate(cfg, app);
-    if (!result)
-        return result; // failed evaluations are never cached
-    const core::OperatingPoint &op = result.value();
-    CachedEvaluation rec;
-    rec.activity = op.activity;
-    rec.stats = op.stats;
-    rec.l1d_miss_ratio = op.l1d_miss_ratio;
-    rec.l1i_miss_ratio = op.l1i_miss_ratio;
-    rec.l2_miss_ratio = op.l2_miss_ratio;
-    cache_->put(key, rec);
+    std::optional<CachedEvaluation> rec = cache_->get(key);
+    const bool miss = !rec;
+    if (miss)
+        rec = evaluator_.simulate(cfg, app);
+    const CachedEvaluation *one = &*rec;
+    auto result = std::move(
+        evaluator_.tryConvergeThermal({&cfg, 1}, {&one, 1}).front());
+    if (miss && result)
+        cache_->put(key, *rec); // failed evaluations are never cached
     return result;
 }
 
@@ -160,74 +163,178 @@ ExploredApp
 OracleExplorer::explore(const workload::AppProfile &app,
                         AdaptationSpace space) const
 {
+    const ExploreTask task{&app, space};
+    return std::move(explore({&task, 1}).front());
+}
+
+bool
+OracleExplorer::cached(const workload::AppProfile &app,
+                       AdaptationSpace space) const
+{
+    if (!cache_)
+        return false;
+    const core::EvalParams &params = evaluator_.params();
+    if (!cache_->contains(EvaluationCache::key(sim::baseMachine(), app,
+                                               params)))
+        return false;
+    for (const auto &cfg : configSpace(space))
+        if (!cache_->contains(EvaluationCache::key(cfg, app, params)))
+            return false;
+    return true;
+}
+
+std::vector<ExploredApp>
+OracleExplorer::explore(std::span<const ExploreTask> tasks) const
+{
+    if (tasks.empty())
+        return {};
     auto &metrics = oracleMetrics();
-    metrics.explores.add();
     telemetry::ScopedTimer timer(metrics.explore_s, "explore",
                                  "oracle");
 
-    ExploredApp out;
-    out.app_name = app.name;
-    out.base = evaluateBase(app);
-    const double base_perf = out.base.uopsPerSecond();
+    // The base points first, one per application.
+    std::vector<const workload::AppProfile *> apps;
+    for (const ExploreTask &task : tasks)
+        if (std::find(apps.begin(), apps.end(), task.app) == apps.end())
+            apps.push_back(task.app);
+    std::vector<core::OperatingPoint> bases(apps.size());
+    const auto base_report = forEach(apps.size(), [&](std::size_t a) {
+        bases[a] = evaluateBase(*apps[a]);
+    });
+    if (!base_report.ok())
+        util::panic("evaluateBase never throws RampException");
 
-    const auto cfgs = configSpace(space);
-    metrics.points.add(cfgs.size());
-    timer.arg("points", static_cast<double>(cfgs.size()));
-    out.points.resize(cfgs.size());
-    auto eval_point = [&](std::size_t i) {
-        auto result = tryEvaluate(cfgs[i], app);
-        if (!result)
-            throw util::RampException(result.error());
-        const double perf_rel =
-            result.value().uopsPerSecond() / base_perf;
-        out.points[i] = ExploredPoint(std::move(result.value()), perf_rel);
+    // Each space's configurations, once per space however many apps
+    // explore it.
+    std::map<AdaptationSpace, std::vector<sim::MachineConfig>> space_cfgs;
+    for (const ExploreTask &task : tasks)
+        if (!space_cfgs.count(task.space))
+            space_cfgs.emplace(task.space, configSpace(task.space));
+
+    // Each task's points, allocated here and filled by index.
+    struct Space
+    {
+        std::span<const sim::MachineConfig> cfgs;
+        std::vector<ExploredPoint> points;
+        /** The record each point converges from. */
+        std::vector<const CachedEvaluation *> record;
+        std::size_t base = 0; ///< Index into bases.
     };
-    // Failed points are dropped by forEach and marked invalid here;
-    // each decision is a pure function of the point, so the dropped
-    // set (and thus the output) is identical at every thread count.
-    auto mark_failures = [&](const util::BatchReport &report,
-                             const std::vector<std::size_t> &index) {
-        for (const auto &[n, err] : report.failures) {
-            const std::size_t i = index.empty() ? n : index[n];
-            out.points[i] = ExploredPoint{};
+    std::vector<Space> spaces(tasks.size());
+    std::size_t total_points = 0;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        Space &sp = spaces[t];
+        sp.cfgs = space_cfgs.at(tasks[t].space);
+        sp.points.resize(sp.cfgs.size());
+        sp.record.resize(sp.cfgs.size());
+        sp.base = static_cast<std::size_t>(
+            std::find(apps.begin(), apps.end(), tasks[t].app) - apps.begin());
+        total_points += sp.cfgs.size();
+        metrics.explores.add();
+        metrics.points.add(sp.cfgs.size());
+    }
+    timer.arg("points", static_cast<double>(total_points));
+
+    // Step 1: one record per unique timing key across every task
+    // (without a cache, one per point), fetched here; the misses are
+    // simulated, and put, in one batch. Keys are unique, so no two
+    // items ever simulate the same record.
+    struct Miss
+    {
+        std::size_t record, task, point;
+        std::string key;
+    };
+    std::vector<CachedEvaluation> records;
+    std::vector<std::size_t> record_of;
+    std::vector<Miss> misses;
+    std::unordered_map<std::string, std::size_t> by_key;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        for (std::size_t i = 0; i < spaces[t].cfgs.size(); ++i) {
+            std::string key;
+            if (cache_) {
+                key = EvaluationCache::key(spaces[t].cfgs[i], *tasks[t].app,
+                                           evaluator_.params());
+                const auto [it, fresh] = by_key.emplace(key, records.size());
+                if (!fresh) {
+                    record_of.push_back(it->second);
+                    continue;
+                }
+            }
+            record_of.push_back(records.size());
+            auto hit = cache_ ? cache_->get(key) : std::nullopt;
+            if (!hit)
+                misses.push_back({records.size(), t, i, std::move(key)});
+            records.push_back(hit ? *hit : CachedEvaluation{});
+        }
+    }
+    const auto sim_report = forEach(misses.size(), [&](std::size_t n) {
+        const Miss &miss = misses[n];
+        records[miss.record] = evaluator_.simulate(
+            spaces[miss.task].cfgs[miss.point], *tasks[miss.task].app);
+        if (cache_)
+            cache_->put(miss.key, records[miss.record]);
+    });
+    if (!sim_report.ok())
+        util::panic("simulate never throws RampException");
+    for (std::size_t t = 0, n = 0; t < tasks.size(); ++t)
+        for (auto &record : spaces[t].record)
+            record = &records[record_of[n++]];
+
+    // Step 2: every point converges from its record, a few points per
+    // item through the batched fixed point, all in one batch. Each
+    // lane is bit for bit what it gets alone, so the grouping never
+    // shows in the output.
+    constexpr std::size_t lanes = 8;
+    struct Chunk
+    {
+        std::size_t task, first;
+        /** The chunk's failed points, by index (rare). */
+        std::vector<std::pair<std::size_t, util::RampError>> failures;
+    };
+    std::vector<Chunk> chunks;
+    for (std::size_t t = 0; t < spaces.size(); ++t)
+        for (std::size_t i = 0; i < spaces[t].cfgs.size(); i += lanes)
+            chunks.push_back({t, i, {}});
+    const auto fp_report = forEach(chunks.size(), [&](std::size_t c) {
+        Chunk &chunk = chunks[c];
+        const std::size_t first = chunk.first;
+        Space &sp = spaces[chunk.task];
+        const std::size_t count = std::min(lanes, sp.cfgs.size() - first);
+        auto ops = evaluator_.tryConvergeThermal(
+            sp.cfgs.subspan(first, count),
+            std::span(sp.record).subspan(first, count));
+        for (std::size_t j = 0; j < count; ++j) {
+            if (!ops[j]) {
+                chunk.failures.emplace_back(first + j, ops[j].error());
+                continue;
+            }
+            const double perf_rel = ops[j].value().uopsPerSecond() /
+                                    bases[sp.base].uopsPerSecond();
+            sp.points[first + j] =
+                ExploredPoint(std::move(ops[j].value()), perf_rel);
+        }
+    });
+    if (!fp_report.ok())
+        util::panic("tryConvergeThermal never throws RampException");
+
+    // A failed point stays invalid (excluded from every selection);
+    // each failure is a pure function of the point, so the dropped
+    // set is identical at every thread count.
+    for (const Chunk &chunk : chunks) {
+        for (const auto &[i, err] : chunk.failures) {
             metrics.failed_points.add();
-            util::warn(util::cat("oracle: dropped point ", i,
-                                 " for ", app.name, ": ",
+            util::warn(util::cat("oracle: dropped point ", i, " for ",
+                                 tasks[chunk.task].app->name, ": ",
                                  err.str()));
         }
-    };
-
-    // Pass 1: one representative (the first occurrence) per unique
-    // timing key. On a cold cache this is where every simulation
-    // happens -- exactly one per key, the same work a serial sweep
-    // does -- rather than racing duplicate-key points into redundant
-    // simulations. Without a cache every point is its own
-    // representative.
-    std::vector<std::size_t> reps;
-    std::vector<std::size_t> rest;
-    if (cache_) {
-        std::unordered_set<std::string> seen;
-        for (std::size_t i = 0; i < cfgs.size(); ++i) {
-            const auto key = EvaluationCache::key(cfgs[i], app,
-                                                 evaluator_.params());
-            (seen.insert(key).second ? reps : rest).push_back(i);
-        }
-    } else {
-        for (std::size_t i = 0; i < cfgs.size(); ++i)
-            reps.push_back(i);
     }
-    mark_failures(
-        forEach(reps.size(),
-                [&](std::size_t n) { eval_point(reps[n]); }),
-        reps);
 
-    // Pass 2: the duplicate-key points, all cache hits now (cheap
-    // power/thermal re-convergence only), exactly as they would be
-    // in a serial sweep that had already passed their key once.
-    mark_failures(
-        forEach(rest.size(),
-                [&](std::size_t n) { eval_point(rest[n]); }),
-        rest);
+    std::vector<ExploredApp> out;
+    out.reserve(tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        out.emplace_back(tasks[t].app->name, bases[spaces[t].base],
+                         std::move(spaces[t].points));
+    }
     return out;
 }
 
@@ -241,33 +348,6 @@ bool
 eligible(const ExploredPoint &xp, bool require_converged)
 {
     return xp.valid && (!require_converged || xp.op.converged);
-}
-
-/**
- * The eligible points in the order a selection visits them: perf_rel
- * descending, ties by ascending index. The first feasible point in
- * this order is the best-performing feasible one, and among equals
- * the lowest-indexed -- exactly what a full scan keeping the first
- * strictly faster feasible point picks. perf_rel is a ratio of
- * speeds, so a negative (or NaN) value marks a corrupt point: it can
- * still be a fallback, but never ranks.
- */
-std::vector<std::size_t>
-fastestFirst(const ExploredApp &app, bool require_converged)
-{
-    std::vector<std::size_t> order;
-    order.reserve(app.points.size());
-    for (std::size_t i = 0; i < app.points.size(); ++i)
-        if (eligible(app.points[i], require_converged) &&
-            app.points[i].perf_rel >= 0.0)
-            order.push_back(i);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  const double pa = app.points[a].perf_rel;
-                  const double pb = app.points[b].perf_rel;
-                  return pa > pb || (pa == pb && a < b);
-              });
-    return order;
 }
 
 /**
@@ -332,25 +412,25 @@ selectDrm(const ExploredApp &app, const core::Qualification &qual)
     if (app.points.empty())
         util::fatal("selectDrm: empty exploration");
 
-    // Only the points at least as fast as the winner decide it, so
-    // only they are priced.
+    // Only the points at least as fast as the winner decide it, and a
+    // point's FIT is summed only until it provably exceeds the target:
+    // the winner alone is priced in full.
     const double target = qual.spec().target_fit;
-    std::vector<double> fits(app.points.size(),
-                             std::numeric_limits<double>::quiet_NaN());
-    for (std::size_t i : fastestFirst(app, /*require_converged=*/true)) {
-        fits[i] = priceFit(qual, app.points[i]);
-        if (fits[i] <= target)
-            return chosen(app, i, fits[i], true);
+    for (std::size_t i : app.fastestFirst()) {
+        const ExploredPoint &xp = app.points[i];
+        if (!eligible(xp, /*require_converged=*/true))
+            continue;
+        const double fit = qual.fitWithin(xp.basis(), xp.op.temps_k, target);
+        if (fit <= target)
+            return chosen(app, i, fit, true);
     }
 
-    // Nothing feasible: the least FIT wins. Every ranked point is
-    // priced by now; the rest are priced here (a NaN price is simply
-    // recomputed, to the same NaN).
+    // Nothing feasible: the least FIT wins, every eligible point
+    // priced in full.
+    std::vector<double> fits(app.points.size());
     const std::size_t fallback = leastViolating(
         app, /*require_converged=*/true, [&](std::size_t i) {
-            if (std::isnan(fits[i]))
-                fits[i] = priceFit(qual, app.points[i]);
-            return fits[i];
+            return fits[i] = priceFit(qual, app.points[i]);
         });
     return chosen(app, fallback, fits[fallback], false);
 }
@@ -369,7 +449,7 @@ selectDtm(const ExploredApp &app, double t_design_k,
     const auto max_temp = [&](std::size_t i) {
         return app.points[i].op.maxTemp();
     };
-    for (std::size_t i : fastestFirst(app, /*require_converged=*/false))
+    for (std::size_t i : app.fastestFirst())
         if (max_temp(i) <= t_design_k)
             return chosen(app, i, priceFit(qual, app.points[i]), true);
     const std::size_t fallback =

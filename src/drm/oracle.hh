@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/engine.hh"
@@ -62,12 +63,80 @@ struct ExploredPoint
     core::FitBasis basis_;
 };
 
-/** The full explored space for one application. */
+struct ExploredApp;
+
+/**
+ * An exploration's points, one per configuration in configSpace
+ * order: readable by index and by range-for, written only by
+ * ExploredApp's constructor, so the ranking it keeps always matches.
+ */
+class PointList
+{
+  public:
+    PointList() = default;
+
+    const ExploredPoint &operator[](std::size_t i) const
+    {
+        return points_[i];
+    }
+    std::size_t size() const { return points_.size(); }
+    bool empty() const { return points_.empty(); }
+    auto begin() const { return points_.cbegin(); }
+    auto end() const { return points_.cend(); }
+
+  private:
+    friend struct ExploredApp;
+    explicit PointList(std::vector<ExploredPoint> points)
+        : points_(std::move(points))
+    {
+    }
+
+    std::vector<ExploredPoint> points_;
+};
+
+/**
+ * The full explored space for one application. Its points are ranked
+ * once, when it is built, and cannot change afterwards; replacing the
+ * whole exploration is the only way to change them.
+ */
 struct ExploredApp
 {
+    /** An empty exploration. */
+    ExploredApp() = default;
+
+    /** An exploration of @p points (one per configuration), ranked
+     *  fastest-first here, once. */
+    ExploredApp(std::string app_name, core::OperatingPoint base,
+                std::vector<ExploredPoint> points);
+
     std::string app_name;
-    core::OperatingPoint base;         ///< Base-machine operating point.
-    std::vector<ExploredPoint> points; ///< One per configuration.
+    core::OperatingPoint base; ///< Base-machine operating point.
+    PointList points;          ///< One per configuration.
+
+    /**
+     * The valid points with perf_rel >= 0, perf_rel descending, ties
+     * by ascending index: the order a selection visits them. The
+     * first feasible point in this order is the best-performing
+     * feasible one, and among equals the lowest-indexed -- exactly
+     * what a full scan keeping the first strictly faster feasible
+     * point picks. perf_rel is a ratio of speeds, so a negative (or
+     * NaN) value marks a corrupt point: it can still be a fallback,
+     * but never ranks.
+     */
+    const std::vector<std::size_t> &fastestFirst() const
+    {
+        return fastest_first_;
+    }
+
+  private:
+    std::vector<std::size_t> fastest_first_;
+};
+
+/** One (application, space) of a multi-space exploration. */
+struct ExploreTask
+{
+    const workload::AppProfile *app = nullptr;
+    AdaptationSpace space = AdaptationSpace::ArchDvs;
 };
 
 /**
@@ -146,10 +215,11 @@ class OracleExplorer
      * With a pool attached the points are evaluated concurrently, but
      * the output is deterministic: results land by configuration
      * index, every evaluation is independently seeded through
-     * EvalParams::seed, and cold-cache runs first evaluate one
-     * representative per unique timing key (so the work done -- and
+     * EvalParams::seed, and each unique timing key is simulated at
+     * most once, before any point converges (so the work done -- and
      * the record each key caches -- is identical to a serial sweep).
-     * Parallel output is bit-identical to serial output.
+     * Parallel output is bit-identical to serial output, and a cold
+     * cache misses exactly once per unique timing key.
      *
      * A point whose evaluation fails is dropped, not fatal: it comes
      * back with valid == false (warned and counted in
@@ -159,6 +229,31 @@ class OracleExplorer
      */
     ExploredApp explore(const workload::AppProfile &app,
                         AdaptationSpace space) const;
+
+    /**
+     * explore() for several (application, space) pairs in one pass,
+     * each result bit for bit what explore() gives it; results land
+     * by task. It works in two steps:
+     *  1. One record per unique timing key across every task: a
+     *     cache get, or on a miss a simulation followed by a put (all
+     *     misses simulate in one pool batch). Without a cache every
+     *     point is its own record and is simulated.
+     *  2. Every point converges from its record, a few points per
+     *     item (the batched fixed point), in one pool batch.
+     * The calling thread allocates the explorations; pool items only
+     * fill them.
+     */
+    std::vector<ExploredApp>
+    explore(std::span<const ExploreTask> tasks) const;
+
+    /**
+     * Whether the cache holds the timing record of every point of
+     * (@p app, @p space), base machine included, so exploring it
+     * simulates nothing. Probes with contains(), so it counts no
+     * hit or miss. False without a cache.
+     */
+    bool cached(const workload::AppProfile &app,
+                AdaptationSpace space) const;
 
     const core::Evaluator &evaluator() const { return evaluator_; }
 
@@ -184,8 +279,11 @@ class OracleExplorer
  * non-converged points never participate.
  *
  * Points are visited fastest first and the first feasible one wins,
- * so only the points at least as fast as the winner are priced; every
- * converged point is priced only when nothing is feasible.
+ * so only the points at least as fast as the winner are priced, and
+ * each of those only until its FIT provably exceeds the target
+ * (core::Qualification::fitWithin): the winner alone is priced in
+ * full. Every converged point is priced in full only when nothing is
+ * feasible.
  */
 Selection selectDrm(const ExploredApp &app,
                     const core::Qualification &qual);

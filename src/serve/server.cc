@@ -132,36 +132,39 @@ Server::handle(const std::shared_ptr<Connection> &conn, Request req,
     // means an immediate structured rejection, never a hang. An idle
     // server (nothing executing, nothing queued) runs the request
     // right here instead, sparing it the hand-off to the batcher.
+    // A rejection is built under the lock but sent after it, so a
+    // slow peer (or a slow-reply fault) never stalls admission or
+    // the hand-off to the next executor.
+    std::string rejection;
     {
         std::lock_guard lock(queue_mu_);
         if (draining()) {
-            sendReply(conn, fault_key,
-                      encodeErrorReply(req.id, err_shutting_down,
-                                       "server is draining",
-                                       req.version));
-            return;
-        }
-        if (executing_ || !queue_.empty()) {
-            if (queue_.size() >= opts_.queue_depth) {
-                rejected_.add();
-                sendReply(
-                    conn, fault_key,
-                    encodeErrorReply(
-                        req.id, err_overloaded,
-                        util::cat("admission queue is full (depth ",
-                                  opts_.queue_depth, ")"),
-                        req.version));
+            rejection = encodeErrorReply(req.id, err_shutting_down,
+                                         "server is draining",
+                                         req.version);
+        } else if (executing_ || !queue_.empty()) {
+            if (queue_.size() < opts_.queue_depth) {
+                // No notify: whichever executor finishes next hands
+                // the backlog to the batcher (see the end of this
+                // function and batchLoop).
+                queue_.push_back(Job{conn, std::move(req), fault_key,
+                                     std::chrono::steady_clock::now()});
+                queue_depth_.set(static_cast<double>(queue_.size()));
                 return;
             }
-            // No notify: whichever executor finishes next hands the
-            // backlog to the batcher (see the end of this function
-            // and batchLoop).
-            queue_.push_back(Job{conn, std::move(req), fault_key,
-                                 std::chrono::steady_clock::now()});
-            queue_depth_.set(static_cast<double>(queue_.size()));
-            return;
+            rejected_.add();
+            rejection = encodeErrorReply(
+                req.id, err_overloaded,
+                util::cat("admission queue is full (depth ",
+                          opts_.queue_depth, ")"),
+                req.version);
+        } else {
+            executing_ = true;
         }
-        executing_ = true;
+    }
+    if (!rejection.empty()) {
+        sendReply(conn, fault_key, rejection);
+        return;
     }
 
     // The batcher may still be warming the service up; call_once

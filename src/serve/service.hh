@@ -78,9 +78,14 @@ class EvaluationService
 
     /**
      * Evaluate every application's base operating point (through the
-     * cache) and derive alpha_qual. Idempotent; uses the pool. The
-     * server runs this before its first batch; direct callers run it
-     * before evaluatePoint()/select().
+     * cache) and derive alpha_qual; then explore, in one pass, every
+     * (app, space) whose timing records the cache held on arrival (a
+     * warm restart), so evaluatePoint() and the selections are served
+     * from those explorations. A cold cache explores nothing, and
+     * simulates only the base points.
+     * Idempotent; uses the pool. The server runs this before its
+     * first batch; direct callers run it before
+     * evaluatePoint()/select().
      */
     void ensureReady();
 
@@ -95,9 +100,12 @@ class EvaluationService
 
     /**
      * Evaluate one explored point: configSpace(space)[config] run on
-     * @p app. Unknown apps and out-of-range config indices are
-     * InvalidInput; evaluation failures carry their RampError
-     * through. Safe inside a pool batch (never touches the pool).
+     * @p app. A space explored by ensureReady() answers from its
+     * exploration, bit for bit what evaluating the point gives.
+     * Unknown apps and out-of-range config indices are InvalidInput;
+     * evaluation failures carry their RampError through. Safe inside
+     * a pool batch (never touches the pool, and reads only what
+     * ensureReady() wrote).
      */
     [[nodiscard]] util::Result<core::OperatingPoint>
     evaluatePoint(const std::string &app, drm::AdaptationSpace space,
@@ -219,7 +227,12 @@ class EvaluationService
     std::vector<core::OperatingPoint> base_ops_;
     sim::PerStructure<double> alpha_qual_{};
 
-    /** Driver-thread only (no lock): explored-space memo. */
+    /** Spaces explored by ensureReady(); read-only afterwards. */
+    std::map<std::pair<std::size_t, drm::AdaptationSpace>,
+             std::shared_ptr<const drm::ExploredApp>>
+        ready_explored_;
+
+    /** Driver-thread only (no lock): spaces explored since. */
     std::map<std::pair<std::size_t, drm::AdaptationSpace>,
              std::shared_ptr<const drm::ExploredApp>>
         explored_;

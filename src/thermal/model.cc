@@ -163,8 +163,9 @@ ThermalModel::checkTiles(TileMaps power_w) const
                               " tiles"));
 }
 
-util::Result<SteadyTemps>
-ThermalModel::trySteadyState(TileMaps power_w) const
+util::Result<void>
+ThermalModel::loadSteadyLane(TileMaps power_w, std::span<double> b,
+                             std::size_t lanes, std::size_t lane) const
 {
     static const telemetry::Counter solves =
         telemetry::counter("thermal.steady_solves");
@@ -172,10 +173,9 @@ ThermalModel::trySteadyState(TileMaps power_w) const
 
     // b_i = P_i + g_amb_i * T_amb, against the network's eliminated A.
     checkTiles(power_w);
-    const std::size_t n = nodes();
-    std::vector<double> b(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        b[i] = g_amb_[i] * params_.ambient_k;
+    for (std::size_t i = 0; i < nodes(); ++i) {
+        double &bi = b[i * lanes + lane];
+        bi = g_amb_[i] * params_.ambient_k;
         if (i < blockNodes()) {
             const double p = power_w[i / num_structures][i % num_structures];
             const bool finite = std::isfinite(p);
@@ -187,15 +187,30 @@ ThermalModel::trySteadyState(TileMaps power_w) const
                               " block power ", p, " at core ",
                               i / num_structures, " structure ",
                               i % num_structures, " in thermal solve")};
-            b[i] += p;
+            bi += p;
         }
     }
-    auto t = steady_.solve(std::move(b));
-    if (!t)
-        return t.error();
+    return {};
+}
+
+util::Result<void>
+ThermalModel::solveSteadyLanes(std::span<double> b,
+                               std::size_t lanes) const
+{
+    return steady_.solveLanes(b, lanes);
+}
+
+util::Result<SteadyTemps>
+ThermalModel::trySteadyState(TileMaps power_w) const
+{
+    std::vector<double> b(nodes(), 0.0);
+    if (auto r = loadSteadyLane(power_w, b, 1, 0); !r)
+        return r.error();
+    if (auto r = solveSteadyLanes(b, 1); !r)
+        return r.error();
 
     SteadyTemps out;
-    out.block_k = std::move(t.value());
+    out.block_k = std::move(b);
     out.spreader_k = out.block_k[spreader_];
     out.sink_k = out.block_k[sink_];
     out.block_k.resize(blockNodes());

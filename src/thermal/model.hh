@@ -133,6 +133,32 @@ class ThermalModel
     trySteadyState(TileMaps power_w) const;
 
     /**
+     * Load lane @p lane of a batch of steady solves: b = P + g_amb *
+     * T_amb for @p power_w, into the column-interleaved @p b (node i
+     * of lane k at b[i * lanes + k], nodes() rows). Counts one steady
+     * solve. Negative or non-finite block power is the error
+     * trySteadyState reports for it, and the lane's entries are then
+     * unspecified.
+     */
+    [[nodiscard]] util::Result<void>
+    loadSteadyLane(TileMaps power_w, std::span<double> b,
+                   std::size_t lanes, std::size_t lane) const;
+
+    /**
+     * Solve every lane of @p b (loaded by loadSteadyLane) in place, in
+     * one pass over the once-eliminated system: each lane ends holding
+     * its node temperatures, bit for bit what trySteadyState gives it
+     * alone. Lanes whose load failed are solved too, to unspecified
+     * values. A singular system is every lane's SingularSystem.
+     */
+    [[nodiscard]] util::Result<void>
+    solveSteadyLanes(std::span<double> b, std::size_t lanes) const;
+
+    /** Nodes of the steady system: the blocks tile-major, then the
+     *  spreader, then the sink (the last node). */
+    std::size_t nodes() const { return blockNodes() + 2; }
+
+    /**
      * trySteadyState that treats any failure as unrecoverable (calls
      * fatal). For callers whose power map comes from validated model
      * output rather than a fault-prone measurement path.
@@ -172,7 +198,6 @@ class ThermalModel
     {
         return tiles_.size() * sim::num_structures;
     }
-    std::size_t nodes() const { return blockNodes() + 2; }
     void buildNetwork();
     /** Panics unless @p power_w carries one map per tile. */
     void checkTiles(TileMaps power_w) const;

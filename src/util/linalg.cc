@@ -1,5 +1,6 @@
 #include "util/linalg.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -96,33 +97,96 @@ LinearFactors::LinearFactors(Matrix a) : lu_(std::move(a))
 Result<std::vector<double>>
 LinearFactors::solve(std::vector<double> b) const
 {
-    const std::size_t n = lu_.rows();
-    if (b.size() != n)
+    if (b.size() != lu_.rows())
         panic("solveLinear needs a square system");
-    if (singular_)
-        return *singular_;
+    if (auto r = solveLanes(b, 1); !r)
+        return r.error();
+    return b;
+}
 
-    // Replay the elimination on b, step by step.
+namespace {
+
+/**
+ * Replay an elimination on lanes [first, first + W) of the
+ * column-interleaved @p b (stride @p lanes), then back-substitute
+ * them. W is a compile-time width so each lane's values stay in
+ * registers; every lane still meets only its own entries, in the
+ * order a lone right-hand side does.
+ */
+template <std::size_t W>
+void
+solveWidth(const Matrix &lu, const std::vector<std::size_t> &pivot,
+           double *b, std::size_t lanes, std::size_t first)
+{
+    const std::size_t n = lu.rows();
+    const double *a = lu.data(); // row-major, n x n
+    const auto row = [&](std::size_t i) { return b + i * lanes + first; };
     for (std::size_t col = 0; col < n; ++col) {
-        if (pivot_[col] != col)
-            std::swap(b[col], b[pivot_[col]]);
+        if (pivot[col] != col)
+            std::swap_ranges(row(col), row(col) + W, row(pivot[col]));
+        double p[W];
+        for (std::size_t k = 0; k < W; ++k)
+            p[k] = row(col)[k];
         for (std::size_t r = col + 1; r < n; ++r) {
-            const double factor = lu_.at(r, col);
+            const double factor = a[r * n + col];
             if (factor == 0.0)
                 continue;
-            b[r] -= factor * b[col];
+            double *dst = row(r);
+            for (std::size_t k = 0; k < W; ++k)
+                dst[k] -= factor * p[k];
         }
     }
 
-    // Back substitution.
-    std::vector<double> x(n, 0.0);
+    // Back substitution, in place: row i becomes x_i once every
+    // later row already holds its x.
     for (std::size_t i = n; i-- > 0;) {
-        double acc = b[i];
-        for (std::size_t c = i + 1; c < n; ++c)
-            acc -= lu_.at(i, c) * x[c];
-        x[i] = acc / lu_.at(i, i);
+        double acc[W];
+        for (std::size_t k = 0; k < W; ++k)
+            acc[k] = row(i)[k];
+        for (std::size_t c = i + 1; c < n; ++c) {
+            const double u = a[i * n + c];
+            const double *x = row(c);
+            for (std::size_t k = 0; k < W; ++k)
+                acc[k] -= u * x[k];
+        }
+        const double d = a[i * n + i];
+        double *out = row(i);
+        for (std::size_t k = 0; k < W; ++k)
+            out[k] = acc[k] / d;
     }
-    return x;
+}
+
+} // namespace
+
+Result<void>
+LinearFactors::solveLanes(std::span<double> b, std::size_t lanes) const
+{
+    const std::size_t n = lu_.rows();
+    if (b.size() != n * lanes)
+        panic(cat("LinearFactors::solveLanes got ", b.size(),
+                  " entries for ", lanes, " lanes of ", n));
+    if (singular_)
+        return *singular_;
+
+    // Lanes go through in groups of 8, 4, 2 and 1; the grouping is
+    // invisible, since no lane ever meets another lane's numbers.
+    for (std::size_t first = 0; first < lanes;) {
+        const std::size_t left = lanes - first;
+        if (left >= 8) {
+            solveWidth<8>(lu_, pivot_, b.data(), lanes, first);
+            first += 8;
+        } else if (left >= 4) {
+            solveWidth<4>(lu_, pivot_, b.data(), lanes, first);
+            first += 4;
+        } else if (left >= 2) {
+            solveWidth<2>(lu_, pivot_, b.data(), lanes, first);
+            first += 2;
+        } else {
+            solveWidth<1>(lu_, pivot_, b.data(), lanes, first);
+            first += 1;
+        }
+    }
+    return {};
 }
 
 Result<std::vector<double>>

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/error.hh"
@@ -37,6 +38,9 @@ class Matrix
     /** Const element access. */
     double at(std::size_t r, std::size_t c) const;
 
+    /** The entries, row-major. */
+    const double *data() const { return data_.data(); }
+
     /** Matrix-vector product; x.size() must equal cols(). */
     std::vector<double> mul(const std::vector<double> &x) const;
 
@@ -50,10 +54,12 @@ class Matrix
  * A square system eliminated once by partial-pivot Gaussian
  * elimination, so that any number of right-hand sides can be solved
  * against it. The elimination keeps its row swaps, its multipliers
- * (below the diagonal) and the upper triangle; solve() replays the
+ * (below the diagonal) and the upper triangle; a solve replays the
  * swaps and multipliers on b in the order the elimination made them,
  * then back-substitutes. Every entry of x therefore goes through the
- * same floating-point operations as eliminating [A | b] together.
+ * same floating-point operations as eliminating [A | b] together --
+ * also when several right-hand sides are solved in one pass, because
+ * each one only ever meets its own entries.
  */
 class LinearFactors
 {
@@ -68,6 +74,19 @@ class LinearFactors
     /** x with A x = b; b.size() must equal the system size. */
     [[nodiscard]] Result<std::vector<double>>
     solve(std::vector<double> b) const;
+
+    /**
+     * Solve @p lanes right-hand sides at once, in place and without
+     * allocating. @p b is column-interleaved: entry i of lane k is
+     * b[i * lanes + k], and b.size() must be size() * lanes. On
+     * success b holds each lane's x in the same layout, bit for bit
+     * what solve() returns for that lane alone.
+     */
+    [[nodiscard]] Result<void> solveLanes(std::span<double> b,
+                                          std::size_t lanes) const;
+
+    /** The system size n (A is n x n). */
+    std::size_t size() const { return lu_.rows(); }
 
   private:
     Matrix lu_;

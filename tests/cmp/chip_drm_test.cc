@@ -51,12 +51,11 @@ syntheticApp(
     const std::string &name,
     const std::vector<std::pair<double, double>> &temp_perf)
 {
-    drm::ExploredApp app;
-    app.app_name = name;
-    app.base = syntheticOp(temp_perf.front().first, 4.0);
+    std::vector<drm::ExploredPoint> points;
     for (const auto &[t, perf] : temp_perf)
-        app.points.emplace_back(syntheticOp(t, 4.0), perf);
-    return app;
+        points.emplace_back(syntheticOp(t, 4.0), perf);
+    return drm::ExploredApp(name, syntheticOp(temp_perf.front().first, 4.0),
+                            std::move(points));
 }
 
 TEST(BudgetPolicy, NamesRoundTrip)
@@ -294,10 +293,9 @@ TEST(WearLevelerDeath, RejectsBadThresholds)
 
 TEST(ExploreApps, PooledBitIdenticalToSerialViaNestedSubmission)
 {
-    // exploreApps fans one app per pool item while each inner
-    // explore() submits to the SAME pool (running inline under the
-    // nested-submission guard). The result must be bit-identical to
-    // the fully serial sweep.
+    // exploreApps explores every app in one pass on the explorer's
+    // pool. The result must be bit-identical to the fully serial
+    // sweep.
     core::EvalParams quick;
     quick.warmup_uops = 30'000;
     quick.measure_uops = 40'000;
@@ -306,13 +304,13 @@ TEST(ExploreApps, PooledBitIdenticalToSerialViaNestedSubmission)
         &workload::findApp("art")};
 
     const drm::OracleExplorer serial(quick);
-    const auto want = exploreApps(serial, nullptr, apps,
+    const auto want = exploreApps(serial, apps,
                                   drm::AdaptationSpace::Dvs);
 
     util::ThreadPool pool(4);
     drm::OracleExplorer pooled(quick);
     pooled.setPool(&pool);
-    const auto got = exploreApps(pooled, &pool, apps,
+    const auto got = exploreApps(pooled, apps,
                                  drm::AdaptationSpace::Dvs);
 
     ASSERT_EQ(got.size(), want.size());

@@ -6,10 +6,14 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <initializer_list>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "core/qualification.hh"
+#include "util/random.hh"
 
 namespace ramp::core {
 namespace {
@@ -147,6 +151,70 @@ TEST(Qualification, SpecIsPreserved)
         for (auto m : allMechanisms())
             total += q.allocation(st, m);
     EXPECT_NEAR(total, 2000.0, 1e-9);
+}
+
+/** A random pick from @p values, or a uniform draw in [lo, hi). */
+double
+pick(util::Rng &rng, std::initializer_list<double> values, double lo,
+     double hi)
+{
+    const std::size_t n = values.size();
+    const std::size_t k = rng.below(2 * n);
+    return k < n ? values.begin()[k] : rng.uniform(lo, hi);
+}
+
+TEST(Qualification, EarlyExitFeasibilityAgreesWithTheFullPrice)
+{
+    // fitWithin(...) <= limit exactly when price(...).totalFit() <=
+    // limit, and then the two are the same bits -- on random bases
+    // and temperatures with NaN, infinite, signed-zero and huge
+    // entries, against limits around the total and at the extremes.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    util::Rng rng(97);
+    std::size_t feasible = 0;
+    std::size_t early = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const Qualification qual(spec(rng.uniform(330.0, 410.0)));
+        FitBasis basis;
+        for (auto &rates : basis.log_rate)
+            for (double &lr : rates)
+                lr = trial % 4 == 0
+                         ? pick(rng, {nan, inf, -inf, 0.0, -0.0, 700.0,
+                                      -745.0, 1e308},
+                                -3.0, 3.0)
+                         : rng.uniform(-3.0, 3.0);
+        for (double &on : basis.on_fraction)
+            on = trial % 4 == 1 ? pick(rng, {0.0, -0.0, 1.0, nan}, 0.0, 1.0)
+                                : rng.uniform(0.0, 1.0);
+        sim::PerStructure<double> temps_k;
+        for (double &t : temps_k)
+            t = trial % 4 == 2
+                    ? pick(rng, {nan, inf, 1e-300, 1e300, 250.0, 300.0}, 300.0,
+                           480.0)
+                    : rng.uniform(300.0, 480.0);
+
+        const double total = qual.price(basis, temps_k).totalFit();
+        for (double limit :
+             {total, std::nextafter(total, inf), std::nextafter(total, -inf),
+              total * rng.uniform(0.0, 2.0), nan, 0.0, -0.0, -1.0, 1e308,
+              inf, -inf, qual.spec().target_fit}) {
+            const double got = qual.fitWithin(basis, temps_k, limit);
+            ASSERT_EQ(got <= limit, total <= limit)
+                << "trial " << trial << ": total " << total << ", limit "
+                << limit << ", got " << got;
+            if (total <= limit) {
+                ++feasible;
+                EXPECT_EQ(std::memcmp(&got, &total, sizeof got), 0)
+                    << "trial " << trial;
+            } else if (std::memcmp(&got, &total, sizeof got) != 0) {
+                ++early;
+            }
+        }
+    }
+    // Both outcomes, and real early exits, were exercised.
+    EXPECT_GT(feasible, 1000u);
+    EXPECT_GT(early, 1000u);
 }
 
 TEST(QualificationDeath, RejectsBadSpecs)

@@ -264,5 +264,47 @@ TEST(ParallelExplore, SharedFileCacheAcrossParallelRuns)
     std::remove(path.c_str());
 }
 
+TEST(ParallelExplore, OnePassOverSpacesIsThreadCountInvariant)
+{
+    // explore() over several (app, space) tasks in one pass, from a
+    // cold cache and then a warm one: one thread and four give the
+    // same explorations bit for bit, equal to one explore() per task,
+    // and the warm pass misses nothing.
+    const std::vector<ExploreTask> tasks{
+        {&workload::findApp("twolf"), AdaptationSpace::Dvs},
+        {&workload::findApp("gzip"), AdaptationSpace::Arch},
+        {&workload::findApp("twolf"), AdaptationSpace::Arch},
+        {&workload::findApp("gzip"), AdaptationSpace::Dvs}};
+
+    EvaluationCache serial_cache;
+    const OracleExplorer serial(quickParams(), &serial_cache);
+    const auto cold = serial.explore(tasks);
+    const std::size_t cold_misses = serial_cache.stats().misses;
+
+    util::ThreadPool pool(4);
+    EvaluationCache parallel_cache;
+    const OracleExplorer parallel(quickParams(), &parallel_cache, &pool);
+    const auto cold4 = parallel.explore(tasks);
+    EXPECT_EQ(parallel_cache.stats().misses, cold_misses);
+    // One miss per unique timing key: both apps' 18 arch
+    // configurations (the base among them).
+    EXPECT_EQ(cold_misses, 2 * archConfigs().size());
+
+    const auto warm = serial.explore(tasks);
+    const auto warm4 = parallel.explore(tasks);
+    EXPECT_EQ(serial_cache.stats().misses, cold_misses);
+    EXPECT_EQ(parallel_cache.stats().misses, cold_misses);
+
+    ASSERT_EQ(cold.size(), tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        for (const auto *got : {&cold4[t], &warm[t], &warm4[t]}) {
+            expectExploredIdentical(cold[t], *got);
+            EXPECT_EQ(got->fastestFirst(), cold[t].fastestFirst());
+        }
+        expectExploredIdentical(
+            cold[t], parallel.explore(*tasks[t].app, tasks[t].space));
+    }
+}
+
 } // namespace
 } // namespace ramp::drm

@@ -5,6 +5,7 @@
  * exploration end-to-end.
  */
 
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -41,18 +42,24 @@ syntheticOp(double temp_k, double freq_ghz, double voltage_v = 1.0)
     return op;
 }
 
-ExploredApp
-syntheticApp()
+/** Three points: cool/slow, warm/medium, hot/fast. */
+std::vector<ExploredPoint>
+syntheticPoints()
 {
-    // Three points: cool/slow, warm/medium, hot/fast.
-    ExploredApp app;
-    app.app_name = "synthetic";
-    app.base = syntheticOp(370.0, 4.0);
+    std::vector<ExploredPoint> points;
     for (auto [t, f, perf] :
          {std::tuple{345.0, 3.0, 0.8}, std::tuple{370.0, 4.0, 1.0},
           std::tuple{395.0, 4.75, 1.15}})
-        app.points.emplace_back(syntheticOp(t, f), perf);
-    return app;
+        points.emplace_back(syntheticOp(t, f), perf);
+    return points;
+}
+
+/** An exploration of @p points, built (and ranked) the one way. */
+ExploredApp
+syntheticApp(std::vector<ExploredPoint> points = syntheticPoints())
+{
+    return ExploredApp("synthetic", syntheticOp(370.0, 4.0),
+                       std::move(points));
 }
 
 /** The FIT report a point must price to bit for bit: one second of
@@ -436,10 +443,10 @@ TEST(Selection, EqualPerfPicksTheLowestIndex)
 {
     // Two feasible points equally fast as the fastest: index 1 wins,
     // under both policies, whatever their FIT or temperature order.
-    ExploredApp app = syntheticApp();
-    app.points.emplace(app.points.begin() + 1, syntheticOp(360.0, 4.75),
-                       1.15);
-    app.points.emplace_back(syntheticOp(340.0, 4.75), 1.15);
+    auto points = syntheticPoints();
+    points.emplace(points.begin() + 1, syntheticOp(360.0, 4.75), 1.15);
+    points.emplace_back(syntheticOp(340.0, 4.75), 1.15);
+    const ExploredApp app = syntheticApp(std::move(points));
     const auto qual = makeQual(400.0);
     EXPECT_EQ(selectDrm(app, qual).index, 1u);
     EXPECT_EQ(selectDtm(app, 400.0, qual).index, 1u);
@@ -450,8 +457,9 @@ TEST(Selection, NothingFeasibleFallsBackLikeTheReference)
 {
     // Both fallbacks, with the least-violating value shared by two
     // points: the lower index wins.
-    ExploredApp app = syntheticApp();
-    app.points.emplace_back(syntheticOp(345.0, 3.0), 0.9);
+    auto points = syntheticPoints();
+    points.emplace_back(syntheticOp(345.0, 3.0), 0.9);
+    const ExploredApp app = syntheticApp(std::move(points));
     const auto drm_sel = selectDrm(app, makeQual(330.0));
     EXPECT_FALSE(drm_sel.feasible);
     EXPECT_EQ(drm_sel.index, 0u);
@@ -465,10 +473,11 @@ TEST(Selection, NonConvergedFastestPointIsSkippedByDrmOnly)
 {
     // The fastest point did not converge: DRM never chooses (or even
     // falls back to) it; DTM still may.
-    ExploredApp app = syntheticApp();
+    auto points = syntheticPoints();
     core::OperatingPoint hot = syntheticOp(350.0, 5.0);
     hot.converged = false;
-    app.points.emplace_back(std::move(hot), 1.3);
+    points.emplace_back(std::move(hot), 1.3);
+    const ExploredApp app = syntheticApp(std::move(points));
     const auto qual = makeQual(400.0);
     const auto drm_sel = selectDrm(app, qual);
     EXPECT_EQ(drm_sel.index, 2u);
@@ -481,12 +490,13 @@ TEST(Selection, NonConvergedFastestPointIsSkippedByDrmOnly)
 
     // Only the hottest point converged: nothing is feasible, and
     // DRM's fallback is that point although cooler ones exist.
-    ExploredApp lone = syntheticApp();
+    auto lone_points = syntheticPoints();
     for (std::size_t i : {0u, 1u}) {
-        core::OperatingPoint op = lone.points[i].op;
+        core::OperatingPoint op = lone_points[i].op;
         op.converged = false;
-        lone.points[i] = ExploredPoint(std::move(op), lone.points[i].perf_rel);
+        lone_points[i] = ExploredPoint(std::move(op), lone_points[i].perf_rel);
     }
+    const ExploredApp lone = syntheticApp(std::move(lone_points));
     const auto fallback = selectDrm(lone, makeQual(330.0));
     EXPECT_FALSE(fallback.feasible);
     EXPECT_EQ(fallback.index, 2u);
@@ -496,10 +506,11 @@ TEST(Selection, NonConvergedFastestPointIsSkippedByDrmOnly)
 TEST(Selection, FailedPointsNeverParticipate)
 {
     // Failed evaluations around and in front of the winner.
-    ExploredApp app = syntheticApp();
-    app.points.insert(app.points.begin(), ExploredPoint{});
-    app.points.insert(app.points.begin() + 2, ExploredPoint{});
-    app.points.emplace_back();
+    auto points = syntheticPoints();
+    points.insert(points.begin(), ExploredPoint{});
+    points.insert(points.begin() + 2, ExploredPoint{});
+    points.emplace_back();
+    const ExploredApp app = syntheticApp(std::move(points));
     for (double tq : {400.0, 371.0, 330.0}) {
         const auto sel = selectDrm(app, makeQual(tq));
         EXPECT_TRUE(app.points[sel.index].valid) << tq;
@@ -511,10 +522,34 @@ TEST(Selection, FailedPointsNeverParticipate)
     expectSelectsLikeReference(app);
 }
 
+TEST(ExploredApp, RanksItsPointsFastestFirstOnceBuilt)
+{
+    // Valid points with perf_rel >= 0, fastest first, ties by index;
+    // failed, negative-speed and NaN-speed points never rank.
+    std::vector<ExploredPoint> points;
+    for (double perf : {0.9, 1.1, -0.5, 1.1, 0.2, 1.3, 0.9})
+        points.emplace_back(syntheticOp(360.0, 4.0), perf);
+    points.emplace_back(syntheticOp(360.0, 4.0), std::nan(""));
+    points.insert(points.begin() + 2, ExploredPoint{});
+    core::OperatingPoint slow = syntheticOp(360.0, 4.0);
+    slow.converged = false; // ranks; only DRM skips it
+    points.emplace_back(std::move(slow), 0.5);
+    const ExploredApp app = syntheticApp(std::move(points));
+    EXPECT_EQ(app.fastestFirst(),
+              (std::vector<std::size_t>{6, 1, 4, 0, 7, 9, 5}));
+    EXPECT_EQ(app.points.size(), 10u);
+
+    // Copies and moves carry the ranking with the points.
+    ExploredApp copy = app;
+    EXPECT_EQ(copy.fastestFirst(), app.fastestFirst());
+    const ExploredApp moved = std::move(copy);
+    EXPECT_EQ(moved.fastestFirst(), app.fastestFirst());
+    EXPECT_TRUE(ExploredApp().fastestFirst().empty());
+}
+
 TEST(SelectDeath, NothingSelectableIsFatal)
 {
-    ExploredApp failed;
-    failed.points.resize(3);
+    const ExploredApp failed = syntheticApp(std::vector<ExploredPoint>(3));
     EXPECT_EXIT(selectDrm(failed, makeQual()),
                 testing::ExitedWithCode(1), "nothing to select");
     EXPECT_EXIT(selectDtm(failed, 370.0, makeQual()),

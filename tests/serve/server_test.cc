@@ -418,6 +418,16 @@ TEST_F(ServerTest, OversizedFrameIsRejectedThenDisconnected)
         EXPECT_EQ(eof.error().code, util::ErrorCode::IoFailure);
 }
 
+/** Every reply delayed @p delay_ms: a slow reply holds the executor. */
+void
+slowEveryReply(double delay_ms)
+{
+    fault::FaultPlan plan;
+    plan.spec(fault::FaultKind::ConnSlow).rate = 1.0;
+    plan.spec(fault::FaultKind::ConnSlow).delay_ms = delay_ms;
+    fault::installFaultPlan(plan);
+}
+
 TEST_F(ServerTest, QueueOverflowRepliesOverloadedNotSilence)
 {
     // One-deep queue, one-request batches, and every reply delayed
@@ -466,6 +476,48 @@ TEST_F(ServerTest, QueueOverflowRepliesOverloadedNotSilence)
     auto rb = b.receiveReply();
     ASSERT_TRUE(rb.ok()) << rb.error().str();
     EXPECT_TRUE(rb.value().ok);
+}
+
+TEST_F(ServerTest, SlowRejectionDoesNotDelayAdmittedWork)
+{
+    // Every reply sleeps 400 ms. a runs inline (its reply done at
+    // ~400 ms), b queues behind it, and c is rejected at ~300 ms. The
+    // rejection's sleep must not hold up admission: b's hand-off
+    // follows a's reply at once, so b is answered ~400 ms after it
+    // starts (~750 ms after it was sent), not after c's sleep ends
+    // too (~1050 ms).
+    ServerOptions opts;
+    opts.queue_depth = 1;
+    opts.batch_max = 1;
+    Server server(*service_, opts);
+    ASSERT_TRUE(server.start().ok());
+    Client a = connectTo(server);
+    Client b = connectTo(server);
+    Client c = connectTo(server);
+    const std::string want = directEvaluate(1); // simulated here, not timed
+    slowEveryReply(400.0);
+
+    ASSERT_TRUE(a.sendRequest(evaluateRequest(app_, 1)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto b_sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(b.sendRequest(evaluateRequest(app_, 1)).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    ASSERT_TRUE(c.sendRequest(evaluateRequest(app_, 1)).ok());
+
+    auto rb = b.receiveReply();
+    const auto b_latency = std::chrono::steady_clock::now() - b_sent;
+    ASSERT_TRUE(rb.ok()) << rb.error().str();
+    ASSERT_TRUE(rb.value().ok) << rb.value().error_message;
+    EXPECT_EQ(util::writeJson(rb.value().result), want);
+    EXPECT_LT(b_latency, std::chrono::milliseconds(900));
+
+    auto rc = c.receiveReply();
+    ASSERT_TRUE(rc.ok()) << rc.error().str();
+    ASSERT_FALSE(rc.value().ok);
+    EXPECT_EQ(rc.value().error_code, err_overloaded);
+    auto ra = a.receiveReply();
+    ASSERT_TRUE(ra.ok()) << ra.error().str();
+    EXPECT_TRUE(ra.value().ok);
 }
 
 TEST_F(ServerTest, ShutdownDrainsThenRejects)
@@ -614,16 +666,6 @@ double
 statsCount(const Server &server, const char *key)
 {
     return server.statsJson().find(key)->number;
-}
-
-/** Every reply delayed @p delay_ms: a slow reply holds the executor. */
-void
-slowEveryReply(double delay_ms)
-{
-    fault::FaultPlan plan;
-    plan.spec(fault::FaultKind::ConnSlow).rate = 1.0;
-    plan.spec(fault::FaultKind::ConnSlow).delay_ms = delay_ms;
-    fault::installFaultPlan(plan);
 }
 
 TEST_F(ServerTest, LoneEvaluateOnAnIdleServerRunsInline)

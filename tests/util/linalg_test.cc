@@ -228,6 +228,64 @@ TEST(LinearFactors, SingularSystemFailsEverySolve)
     }
 }
 
+TEST(LinearFactors, InterleavedLanesMatchInPlaceElimination)
+{
+    // K = 1..16 right-hand sides solved in one column-interleaved pass
+    // are each, bit for bit, what eliminating [A | b] alone gives --
+    // on random pivoting systems and on the single-core thermal one.
+    Rng rng(59);
+    std::vector<Matrix> systems{thermal::ThermalModel().steadySystem()};
+    for (int trial = 0; trial < 6; ++trial) {
+        const std::size_t n = 1 + rng.below(16);
+        Matrix a(n, n);
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < n; ++c)
+                a.at(r, c) = rng.below(4) == 0 ? 0.0
+                                               : rng.uniform(-1.0, 1.0);
+            a.at(r, r) += static_cast<double>(n);
+        }
+        if (n > 2)
+            for (std::size_t c = 0; c < n; ++c)
+                std::swap(a.at(0, c), a.at(n - 1, c));
+        systems.push_back(std::move(a));
+    }
+    for (const Matrix &a : systems) {
+        const LinearFactors factors(a);
+        const std::size_t n = a.rows();
+        EXPECT_EQ(factors.size(), n);
+        for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+            std::vector<std::vector<double>> rhs(lanes,
+                                                 std::vector<double>(n));
+            std::vector<double> b(n * lanes);
+            for (std::size_t k = 0; k < lanes; ++k)
+                for (std::size_t i = 0; i < n; ++i)
+                    b[i * lanes + k] = rhs[k][i] = rng.uniform(-5.0, 30.0);
+            ASSERT_TRUE(factors.solveLanes(b, lanes).ok());
+            for (std::size_t k = 0; k < lanes; ++k) {
+                const auto want = inPlaceSolve(a, rhs[k]);
+                for (std::size_t i = 0; i < n; ++i)
+                    EXPECT_EQ(std::memcmp(&b[i * lanes + k], &want[i],
+                                          sizeof(double)),
+                              0)
+                        << "lane " << k << " of " << lanes << ", row "
+                        << i << " of " << n;
+            }
+        }
+    }
+}
+
+TEST(LinearFactors, SingularSystemFailsEveryLane)
+{
+    Matrix a(2, 2);
+    a.at(0, 0) = 1.0; a.at(0, 1) = 2.0;
+    a.at(1, 0) = 2.0; a.at(1, 1) = 4.0;
+    const LinearFactors factors(a);
+    std::vector<double> b(2 * 3, 1.0);
+    const auto r = factors.solveLanes(b, 3);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::SingularSystem);
+}
+
 TEST(SolveLinearDeath, SingularSystemIsFatal)
 {
     Matrix a(2, 2);
